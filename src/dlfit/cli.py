@@ -6,14 +6,14 @@ import argparse
 import sys
 
 from .core import (
-    ALCQ, CONSISTENCY, AQ, FULLCQ, UCQ_MODE, InputError, collection,
+    ALCQ, CONSISTENCY, AQ, FULLCQ, InputError, collection,
 )
 from .flatfit import (
     FITTING_EXISTS, NO_FITTING, decide_alcq_fitting,
     decide_aq_fitting, decide_consistency_fitting, decide_fullcq_fitting,
 )
 from .harness import (
-    LOGIC_NAMES, LOGIC_TEXT, atom_text, parse_abox, parse_collection,
+    LOGIC_NAMES, atom_text, parse_abox, parse_collection,
     parse_ontology, parse_query, generate_from_entailment,
     serialize_collection, serialize_ontology, verify_fit,
 )

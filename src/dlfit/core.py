@@ -195,9 +195,6 @@ def abox(concepts=(), roles=()):
     return ABox(frozenset(concepts), frozenset(roles))
 
 
-EMPTY_ABOX = abox()
-
-
 @dataclass(frozen=True)
 class CQ:
     concept_atoms: frozenset  # of (concept-name, term)
@@ -409,9 +406,6 @@ def size_of(x):
 
 
 # --- ontology normal form ---
-
-_NORMAL_ROLE_FILLER = (Exists,)
-
 
 def _is_normal(lhs, rhs):
     if isinstance(lhs, Top) and isinstance(rhs, Name):

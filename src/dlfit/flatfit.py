@@ -9,8 +9,8 @@ from .core import (
     Ontology, Or, PARTITION_PREFIX, Role, Top, abox, aq_query, collection,
     signature_of,
 )
-from .homs import HomConstraints, NO_CONSTRAINTS, homomorphisms
-from .semantics import check_consistency, entails_ground
+from .homs import HomConstraints, homomorphisms
+from .semantics import entails_ground
 
 FITTING_EXISTS = "fitting-exists"
 NO_FITTING = "no-fitting"

@@ -1,17 +1,15 @@
 """Constrained homomorphism search between ABoxes, conjunctive queries, and
 finite interpretations."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import ABox, CQ, ALC, ALCI, InputError
+from .core import ABox, CQ, ALCI, InputError
 
 
 @dataclass(frozen=True)
 class HomConstraints:
     fixed: tuple = ()  # of (term, target element) pairs
-    weak: bool = True  # individuals are unconstrained unless fixed
     locally_injective: bool = False
-    depth_window: tuple = None  # (min, max) over target depth
     reachability_anchors: tuple = None  # (frozenset of elements, logic)
 
     def fixed_map(self):
@@ -50,11 +48,10 @@ def _source_atoms(source):
 class TargetView:
     """Uniform access to the elements, labels, and edges of a target."""
 
-    def __init__(self, elements, labels, edges, depths=None):
+    def __init__(self, elements, labels, edges):
         self.elements = sorted(elements, key=repr)
         self.labels = labels  # set of (concept-name, element)
         self.edges = edges  # set of (role-name, element, element)
-        self.depths = depths
         self.succ = {}
         self.pred = {}
         for r, x, y in edges:
@@ -76,8 +73,7 @@ def target_view(target):
         labels = {(n, e) for n, ext in target.concept_ext.items() for e in ext}
         edges = {(r, x, y) for r, ext in target.role_ext.items()
                  for x, y in ext}
-        depths = getattr(target, "depths", None)
-        return TargetView(target.domain, labels, edges, depths)
+        return TargetView(target.domain, labels, edges)
     raise TypeError(f"unsupported homomorphism target {type(target).__name__}")
 
 
@@ -114,9 +110,6 @@ def homomorphisms(source, target, constraints=NO_CONSTRAINTS, want="all"):
         if e not in set(view.elements):
             raise InputError(f"fixed target element {e!r} not in target")
 
-    if constraints.depth_window is not None and view.depths is None:
-        raise InputError("depth window requires a depth-graded target")
-
     allowed_reach = None
     if constraints.reachability_anchors is not None:
         anchors, logic = constraints.reachability_anchors
@@ -137,9 +130,6 @@ def homomorphisms(source, target, constraints=NO_CONSTRAINTS, want="all"):
         for n, u in concept_atoms:
             if u == t:
                 cs &= view.labeled(n)
-        if constraints.depth_window is not None:
-            lo, hi = constraints.depth_window
-            cs = {e for e in cs if lo <= view.depths[e] <= hi}
         if allowed_reach is not None and t in variables:
             cs &= allowed_reach
         # self-loop atoms

@@ -1,16 +1,16 @@
 """Finite-model checking, ontology consistency via type elimination, and
 bounded entailment oracles."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
 from .core import (
-    ALC, ALCI, ALCQ, ABox, And, AtLeast, AtMost, Bottom, Concept, Exists,
+    ALC, ALCI, ALCQ, ABox, And, AtLeast, AtMost, Bottom, Exists,
     Forall, InputError, Name, Not, Ontology, Or, Role, Signature, Top, UCQ,
     UnsupportedLogicError, expand_abbreviations, signature_of, subconcepts,
 )
-from .homs import HomConstraints, homomorphisms, strong_constraints
+from .homs import HomConstraints, homomorphisms
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,6 @@ class TreeInterpretation:
                 closed.add(w[:i])
         return frozenset(closed)
 
-    @cached_property
-    def depth(self):
-        return max(len(w) for w in self.words)
-
     def labels_at(self, w):
         return frozenset(n for u, n in self.node_labels if u == w)
 
@@ -141,27 +137,6 @@ class TreeInterpretation:
             out.append(w + (k,))
             k += 1
         return out
-
-    def to_interpretation(self, prefix=None, root=None, extra_labels=()):
-        """Concrete interpretation; words become (prefix, word) pairs, or the
-        given root element for the empty word."""
-
-        def elem(w):
-            if not w and root is not None:
-                return root
-            return (prefix, w) if prefix is not None else w
-
-        labels = {(n, elem(w)) for w, n in self.node_labels}
-        labels |= {(n, elem(())) for n in extra_labels}
-        edges = set()
-        for w, r, up in self.node_edges:
-            parent, child = elem(w[:-1]), elem(w)
-            edges.add((r, child, parent) if up else (r, parent, child))
-        return interp({elem(w) for w in self.words}, labels, edges)
-
-    @cached_property
-    def depths(self):
-        return {w: len(w) for w in self.words}
 
 
 def extension(i, c):
@@ -276,65 +251,6 @@ def is_forest_model(i, a, logic):
             return False
         parent[rx] = ry
     return True
-
-
-def unravel(i, d, logic, depth):
-    """The tree of paths of i starting at d, truncated to the given depth;
-    under ALCI paths may also traverse edges backwards."""
-    labels = set()
-    edges = set()
-    tails = {(): d}
-
-    def steps(e):
-        out = []
-        for r, x, y in i.edges:
-            if x == e:
-                out.append((r, False, y))
-            if y == e and logic == ALCI:
-                out.append((r, True, x))
-        return sorted(out, key=repr)
-
-    def expand(word):
-        e = tails[word]
-        for n, elem in i.labels:
-            if elem == e:
-                labels.add((word, n))
-        if len(word) >= depth:
-            return
-        for k, (r, up, target) in enumerate(steps(e), start=1):
-            child = word + (k,)
-            tails[child] = target
-            edges.add((child, r, up))
-            expand(child)
-
-    expand(())
-    tree = TreeInterpretation(frozenset(labels), frozenset(edges))
-    return tree, tails
-
-
-def build_iah(i, a, h, logic, depth):
-    """Undo the identifications of a homomorphism h from the ABox into i:
-    keep the ABox on its own individuals with labels pulled back along h, and
-    glue the unraveling of i at h(x) onto each individual x."""
-    hmap = h.as_dict() if hasattr(h, "as_dict") else dict(h)
-    for n, x in a.concept_assertions:
-        if hmap[x] not in i.concept_ext.get(n, frozenset()):
-            raise InputError("not a homomorphism from the ABox")
-    for r, x, y in a.role_assertions:
-        if (hmap[x], hmap[y]) not in i.role_ext.get(r, frozenset()):
-            raise InputError("not a homomorphism from the ABox")
-    domain = set(a.individuals)
-    labels = {(n, x) for x in a.individuals for n, e in i.labels
-              if e == hmap[x]}
-    edges = set(a.role_assertions)
-    names = {(x, x) for x in a.individuals}
-    for x in sorted(a.individuals):
-        tree, _ = unravel(i, hmap[x], logic, depth)
-        sub = tree.to_interpretation(prefix=x, root=x)
-        domain |= sub.domain
-        edges |= sub.edges
-        labels |= {(n, e) for n, e in sub.labels if e != x}
-    return interp(domain, labels, edges, names)
 
 
 # --- type machinery -------------------------------------------------------
@@ -644,8 +560,6 @@ class EntailmentBounds:
     depth: int = 3
     max_elements: int = 40
     max_candidates: int = 50000
-    finite_model_size: int = 0  # 0 disables the finite-model fallback
-    finite_model_budget: int = 200000
 
 
 @dataclass
@@ -672,8 +586,7 @@ def _candidate_interpretation(a, types, ts, edges, declared):
 def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
     """Three-valued entailment of a union of conjunctive queries: searches
     tree-extended countermodels up to the depth bound (claiming entailment
-    only when every candidate already satisfies the query) and optionally
-    falls back to exhaustive finite-model search."""
+    only when every candidate already satisfies the query)."""
     declared = signature_of(o) | signature_of(a) | signature_of(q)
     q_names = sorted(declared.concept_names)
     ts = type_system(o, logic, extra_names=tuple(q_names))
@@ -829,12 +742,6 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
                                 diagnostics="no consistent type assignment")
     if not state["capped"] and not state["inconclusive"]:
         return EntailmentAnswer("entailed")
-    if bounds.finite_model_size:
-        found, settled = find_finite_countermodel(
-            a, o, q, logic, bounds.finite_model_size,
-            bounds.finite_model_budget)
-        if found is not None:
-            return EntailmentAnswer("not-entailed", found)
     return EntailmentAnswer(
         "unknown", diagnostics="bounds exhausted: "
         + ("candidate cap" if state["capped"] else "blocked extensions "

@@ -3,22 +3,18 @@ variation-based obligation checking, finite-witness search, and ontology
 synthesis from finite witnesses."""
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from .core import (
     ALC, ALCI, And, Bottom, BOTTOM_ONTOLOGY, CQ, Exists, InputError, Name,
     Not, Ontology, PARTITION_PREFIX, Role, Signature, Top, UCQ_MODE,
-    abox_components, cq_components, preprocess_collection, signature_of,
-    size_of,
+    preprocess_collection, signature_of, size_of,
 )
 from .flatfit import (
     FITTING_EXISTS, FitVerdict, NO_FITTING, NO_FITTING_WITHIN_BOUNDS,
     UNKNOWN, _big_or,
 )
-from .homs import (
-    HomConstraints, NO_CONSTRAINTS, homomorphisms, reachable_set, target_view,
-)
+from .homs import HomConstraints, homomorphisms
 from .semantics import (
     Interpretation, TreeInterpretation, evaluate_query, interp,
     is_forest_model, is_model,
@@ -86,7 +82,7 @@ def _variation_proper(p, a, logic):
             if (ro, t1, t2) not in a.role_assertions:
                 return False
     # components of the non-ground role atoms must be trees embeddable into
-    # unravelings hanging off a single individual
+    # the anonymous tree hanging off a single individual
     anon_atoms = [(ro, t1, t2) for ro, t1, t2 in p.role_atoms
                   if t1 in p.variables or t2 in p.variables]
     if not anon_atoms:
@@ -199,75 +195,7 @@ def obligation_holds(piece, e, h, logic, variations=None):
     return False
 
 
-def _as_interpretation(piece):
-    if isinstance(piece, TreeInterpretation):
-        out = piece.to_interpretation()
-        object.__setattr__(out, "depths", piece.depths)
-        return out
-    if isinstance(piece, BaseCandidate):
-        return piece.combined
-    return piece
-
-
-def check_condition_b_local(piece, e, window, logic, chosen=None):
-    """Whether every homomorphism from the chosen ABox component into the
-    piece (range within the given depth window, if any) satisfies the
-    variation obligation."""
-    target = _as_interpretation(piece)
-    source = chosen if chosen is not None else e.abox
-    constraints = NO_CONSTRAINTS
-    if window is not None:
-        constraints = HomConstraints(depth_window=window)
-    variations = _variation_pool(e, logic)
-    for h in homomorphisms(source, target, constraints):
-        if not obligation_holds(target, e, h, logic, variations):
-            return False
-    return True
-
-
-# --- choice functions, avoid sets, mosaics --------------------------------
-
-@dataclass(frozen=True)
-class ChoiceFns:
-    """Per positive example, a chosen component of its ABox; per negative
-    example and query disjunct, a chosen component of that disjunct."""
-
-    pos_component: tuple  # one ABox per positive example
-    neg_component: tuple  # per negative: tuple of CQ, one per disjunct
-
-
-@dataclass(frozen=True)
-class AvoidSet:
-    aboxes: frozenset  # of ABox components of positive examples
-
-
-def all_choice_functions(e):
-    pos_opts = [abox_components(ex.abox) or [ex.abox] for ex in e.positives]
-    neg_opts = []
-    for ex in e.negatives:
-        per_disjunct = [cq_components(d) or [d] for d in ex.query.disjuncts]
-        neg_opts.append([tuple(c) for c in product(*per_disjunct)])
-    for pos in product(*pos_opts):
-        for neg in product(*neg_opts):
-            yield ChoiceFns(tuple(pos), tuple(neg))
-
-
-def all_avoid_sets(e):
-    comps = []
-    for ex in e.positives:
-        for c in abox_components(ex.abox):
-            if c not in comps:
-                comps.append(c)
-    comps.sort(key=repr)
-    for size in range(len(comps) + 1):
-        from itertools import combinations
-        for combo in combinations(comps, size):
-            yield AvoidSet(frozenset(combo))
-
-
-def enabled(ex, avoid):
-    return not any(c in avoid.aboxes for c in abox_components(ex.abox))
-
+# --- mosaics -----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Mosaic:
@@ -275,82 +203,10 @@ class Mosaic:
     owner: int  # index of the negative example the mosaic belongs to
 
 
-def _steps(sig, logic):
-    steps = [(r, False) for r in sorted(sig.role_names)]
-    if logic == ALCI:
-        steps += [(r, True) for r in sorted(sig.role_names)]
-    return steps
-
-
-def _label_sets(names):
-    names = sorted(names)
-    out = []
-    for k in range(len(names) + 1):
-        from itertools import combinations
-        for c in combinations(names, k):
-            out.append(frozenset(c))
-    return out
-
-
-def enumerate_tree_shapes(names, steps, max_depth, max_degree, cap=None,
-                          _count=None):
-    """All tree shapes (label-set, sorted child tuple) up to the depth and
-    degree bounds, small ones first."""
-    labels = _label_sets(names)
-    memo = {}
-
-    def shapes(depth):
-        if depth in memo:
-            return memo[depth]
-        if depth == 0:
-            out = [(lab, ()) for lab in labels]
-        else:
-            child_pool = [(s, sh) for s in steps for sh in shapes(depth - 1)]
-            out = []
-            for lab in labels:
-                for k in range(max_degree + 1):
-                    for kids in combinations_with_replacement(
-                            sorted(child_pool, key=repr), k):
-                        out.append((lab, tuple(kids)))
-                        if cap is not None and len(out) > cap:
-                            raise BoundsExceeded(
-                                f"more than {cap} tree shapes")
-            # drop shallow duplicates introduced by the depth recursion
-            out = sorted(set(out), key=lambda s: (_shape_size(s), repr(s)))
-        memo[depth] = out
-        return out
-
-    return shapes(max_depth)
-
-
-def _shape_size(shape):
-    lab, kids = shape
-    return 1 + sum(_shape_size(sh) for _, sh in kids)
-
-
-def shape_to_tree(shape):
-    labels = set()
-    edges = set()
-
-    def build(word, sh):
-        lab, kids = sh
-        labels.update((word, n) for n in lab)
-        for i, ((rname, up), sub) in enumerate(kids, start=1):
-            child = word + (i,)
-            edges.add((child, rname, up))
-            build(child, sub)
-
-    build((), shape)
-    return TreeInterpretation(frozenset(labels), frozenset(edges))
-
-
-def tree_shape(t, root=()):
-    """The canonical shape of the subtree of t below the given word,
-    optionally truncated: see subtree_shape."""
-    return subtree_shape(t, root, None)
-
-
 def subtree_shape(t, root, keep_depth):
+    """The canonical shape (label set, sorted child tuple) of the subtree of
+    the tree t below the given word, cut keep_depth levels down (None keeps
+    every level)."""
     def build(word, left):
         kids = []
         for c in t.children(word):
@@ -364,91 +220,13 @@ def subtree_shape(t, root, keep_depth):
     return build(root, keep_depth)
 
 
-def _matches_component(piece, comp):
-    """Whether a chosen query component matches the piece; components that
-    mention individuals cannot match pieces without anchored names."""
-    target = _as_interpretation(piece)
-    names = getattr(target, "name_map", {})
-    fixed = []
-    for t in comp.individuals:
-        if t not in names:
-            return False
-        fixed.append((t, names[t]))
-    return bool(homomorphisms(comp, target,
-                              HomConstraints(fixed=tuple(sorted(fixed))),
-                              want="first"))
-
-
-def enumerate_mosaics(e, ch, avoid, neg_index, b):
-    """All bounded trees that locally avoid the chosen negative-query
-    components and the avoided ABoxes while honoring every positive
-    obligation inside the middle depth window."""
-    sig = signature_of(e)
-    steps = _steps(sig, e.logic)
-    shapes = enumerate_tree_shapes(sig.concept_names, steps,
-                                   3 * b.depth_unit, b.degree,
-                                   cap=b.max_mosaics)
-    neg = e.negatives[neg_index]
-    comps = ch.neg_component[neg_index]
-    window = (b.depth_unit, 2 * b.depth_unit)
-    out = []
-    for shape in shapes:
-        tree = shape_to_tree(shape)
-        piece = _as_interpretation(tree)
-        if any(_matches_component(piece, c) for c in comps):
-            continue
-        if any(homomorphisms(a, piece, want="first") for a in avoid.aboxes):
-            continue
-        ok = True
-        for i, pos in enumerate(e.positives):
-            if not enabled(pos, avoid):
-                continue
-            if not check_condition_b_local(piece, pos, window, e.logic,
-                                           chosen=ch.pos_component[i]):
-                ok = False
-                break
-        if ok:
-            out.append(Mosaic(tree, neg_index))
-        if len(out) > b.max_mosaics:
-            raise BoundsExceeded(f"more than {b.max_mosaics} mosaics")
-    return out
-
-
 def glues_to(m, d, host, depth_unit=1):
-    """Whether the host's subtree below d equals the mosaic with its deepest
-    layer (depth exactly 3*depth_unit) removed."""
-    tree = m.tree if isinstance(m, Mosaic) else m
-    truncated = subtree_shape(tree, (), 3 * depth_unit - 1)
-    if isinstance(host, Mosaic):
-        host = host.tree
-    if isinstance(host, TreeInterpretation):
-        if d not in host.words:
-            raise InputError(f"element {d} not in the host tree")
-        return subtree_shape(host, d, None) == truncated
-    # interpretation host with word-structured elements (individual, word)
-    return _interp_subtree_shape(host, d) == truncated
-
-
-def _interp_subtree_shape(i, d):
-    labels = {}
-    for n, e in i.labels:
-        labels.setdefault(e, set()).add(n)
-    kids = {}
-    for r, x, y in i.edges:
-        for parent, child, up in ((x, y, False), (y, x, True)):
-            if isinstance(child, tuple) and len(child) == 2 and \
-                    isinstance(parent, tuple) and len(parent) == 2 and \
-                    child[0] == parent[0] and \
-                    child[1][:-1] == parent[1]:
-                kids.setdefault(parent, set()).add((child, r, up))
-
-    def build(e):
-        out = []
-        for child, r, up in kids.get(e, ()):
-            out.append(((r, up), build(child)))
-        return (frozenset(labels.get(e, ())), tuple(sorted(out, key=repr)))
-
-    return build(d)
+    """Whether the host tree's subtree below d equals the mosaic with its
+    deepest layer (depth exactly 3*depth_unit) removed."""
+    if d not in host.words:
+        raise InputError(f"element {d} not in the host tree")
+    truncated = subtree_shape(m.tree, (), 3 * depth_unit - 1)
+    return subtree_shape(host, d, None) == truncated
 
 
 def eliminate_mosaics(s0, depth_unit=1):
@@ -471,148 +249,11 @@ def eliminate_mosaics(s0, depth_unit=1):
         current = keep
 
 
-# --- base candidates -------------------------------------------------------
-
-@dataclass(frozen=True)
-class BaseCandidate:
-    parts: tuple  # one Interpretation per negative example
-
-    @property
-    def combined(self):
-        domain, labels, edges, names = set(), set(), set(), set()
-        for p in self.parts:
-            domain |= p.domain
-            labels |= p.labels
-            edges |= p.edges
-            names |= p.names
-        out = Interpretation(frozenset(domain), frozenset(labels),
-                             frozenset(edges), frozenset(names))
-        depths = {}
-        for p in self.parts:
-            d = getattr(p, "depths", None)
-            if d:
-                depths.update(d)
-        if depths:
-            object.__setattr__(out, "depths", depths)
-        return out
-
-
-@dataclass(frozen=True)
-class RegularWitness:
-    base: BaseCandidate
-    assignment: tuple  # of (element, Mosaic) for required depth-1 nodes
-
-    def dump(self):
-        lines = []
-        for k, part in enumerate(self.base.parts):
-            lines.append(f"part {k}:")
-            for n, e in sorted(part.labels, key=repr):
-                lines.append(f"  {n}({e})")
-            for r, x, y in sorted(part.edges, key=repr):
-                lines.append(f"  {r}({x}, {y})")
-        lines.append("assignment:")
-        for e, m in sorted(self.assignment, key=repr):
-            lines.append(f"  {e} <- mosaic {tree_shape(m.tree)!r}")
-        return "\n".join(lines)
-
+# --- finite witnesses -------------------------------------------------------
 
 def _anon_root(neg_index):
     return f"__root{neg_index}"
 
-
-def _forest_parts(ex, neg_index, sig, logic, b):
-    """All bounded forest models of one negative example's ABox, smallest
-    first, under the word naming convention (elements (individual, word))."""
-    steps = _steps(sig, logic)
-    shapes = enumerate_tree_shapes(sig.concept_names, steps,
-                                   3 * b.depth_unit - 1, b.degree,
-                                   cap=b.max_mosaics)
-    shape_pool = sorted([(s, sh) for s in steps for sh in shapes], key=repr)
-    inds = sorted(ex.abox.individuals) or [_anon_root(neg_index)]
-    asserted = {a: frozenset(n for n, x in ex.abox.concept_assertions
-                             if x == a) for a in inds}
-    label_opts = {a: [ls | asserted[a] for ls in
-                      sorted({f for f in _label_sets(sig.concept_names)},
-                             key=lambda f: (len(f), sorted(f)))]
-                  for a in inds}
-    for a in inds:
-        # dedupe label sets that collapse onto the asserted ones
-        seen, opts = set(), []
-        for ls in label_opts[a]:
-            if ls not in seen:
-                seen.add(ls)
-                opts.append(ls)
-        label_opts[a] = opts
-
-    attach_opts = []
-    for k in range(b.degree + 1):
-        attach_opts.extend(combinations_with_replacement(shape_pool, k))
-
-    per_ind = [[(lab, att) for att in attach_opts for lab in label_opts[a]]
-               for a in inds]
-    per_ind = [sorted(opts, key=lambda o: (sum(_shape_size(sh)
-                                               for _, sh in o[1]),
-                                           len(o[0]), repr(o)))
-               for opts in per_ind]
-    for combo in product(*per_ind):
-        domain = {(a, ()) for a in inds}
-        labels = set()
-        edges = {(r, (x, ()), (y, ())) for r, x, y in ex.abox.role_assertions}
-        for a, (lab, att) in zip(inds, combo):
-            labels |= {(n, (a, ())) for n in lab}
-            for i, ((rname, up), sh) in enumerate(att, start=1):
-                tree = shape_to_tree(sh)
-                prefix = (i,)
-                for w in tree.words:
-                    domain.add((a, prefix + w))
-                labels |= {(n, (a, prefix + w)) for w, n in tree.node_labels}
-                root = (a, prefix)
-                top = (a, ())
-                edges.add((rname, root, top) if up else (rname, top, root))
-                for w, r2, up2 in tree.node_edges:
-                    parent, child = (a, prefix + w[:-1]), (a, prefix + w)
-                    edges.add((r2, child, parent) if up2
-                              else (r2, parent, child))
-        part = interp(domain, labels, edges,
-                      {(a, (a, ())) for a in inds if a in ex.abox.individuals})
-        depths = {e: len(e[1]) for e in domain}
-        object.__setattr__(part, "depths", depths)
-        yield part
-
-
-def enumerate_base_candidates(e, ch, avoid, b):
-    """All bounded gluings of per-negative forest models that avoid the
-    chosen negative components, admit no avoided ABox, and honor the positive
-    obligations up to the middle depth."""
-    sig = signature_of(e)
-    window = (0, 2 * b.depth_unit)
-    part_gens = [list(_forest_parts(ex, k, sig, e.logic, b))
-                 for k, ex in enumerate(e.negatives)]
-    for parts in product(*part_gens):
-        ok = True
-        for k, part in enumerate(parts):
-            if any(_matches_component(part, c)
-                   for c in ch.neg_component[k]):
-                ok = False
-                break
-        if not ok:
-            continue
-        candidate = BaseCandidate(tuple(parts))
-        j = candidate.combined
-        if any(homomorphisms(a, j, want="first") for a in avoid.aboxes):
-            continue
-        for i, pos in enumerate(e.positives):
-            if not enabled(pos, avoid):
-                continue
-            if not check_condition_b_local(j, pos, window, e.logic,
-                                           chosen=ch.pos_component[i]):
-                ok = False
-                break
-        if ok:
-            yield candidate
-
-
-# --- finite witnesses -------------------------------------------------------
 
 @dataclass(frozen=True)
 class WitnessParts:
@@ -645,12 +286,10 @@ def check_finite_witness(w, e, logic):
     each part is a forest model of its negative example falsifying every
     negative query, and every homomorphism from a positive ABox into the
     whole satisfies the variation obligation."""
-    parts = w.parts if isinstance(w, WitnessParts) else tuple(w)
-    if len(parts) != len(e.negatives):
+    if len(w.parts) != len(e.negatives):
         raise InputError("expected one witness part per negative example")
-    combined = (w if isinstance(w, WitnessParts)
-                else WitnessParts(parts, e)).combined
-    for part, neg in zip(parts, e.negatives):
+    combined = w.combined
+    for part, neg in zip(w.parts, e.negatives):
         if neg.abox.individuals:
             if not is_model(part, neg.abox):
                 return False
@@ -713,7 +352,7 @@ def search_finite_witness(e, logic, b):
         for i, pos in enumerate(e.positives):
             for h in homomorphisms(pos.abox, j):
                 if not obligation_holds(j, pos, h, logic, variations[i]):
-                    return (i, h, j)
+                    return (i, h)
         return None
 
     def part_ok(state, k):
@@ -727,19 +366,14 @@ def search_finite_witness(e, logic, b):
     def negatives_safe(j):
         return not any(evaluate_query(j, neg.query) for neg in e.negatives)
 
-    def repairs(state, i, h, j):
+    def repairs(state, i, h):
         """All one-step extensions making the (i, h) obligation true."""
-        pos = e.positives[i]
         hmap = h.as_dict()
-        anchors = sorted(set(hmap.values()), key=repr)
         all_elems = sorted({x for dom, _, _ in state for x in dom}, key=repr)
         out = []
         for p in variations[i]:
             vs = sorted(p.variables)
             fixed = {t: hmap[t] for t in p.individuals}
-            reach = set()
-            for a in anchors:
-                reach |= reachable_set(j, a, logic)
             # variables map to existing elements or fresh ones
             options = []
             for v in vs:
@@ -747,7 +381,6 @@ def search_finite_witness(e, logic, b):
                 options.append(opts)
             for combo in product(*options):
                 g = dict(fixed)
-                fresh_count = {}
                 for v, tgt in zip(vs, combo):
                     if isinstance(tgt, tuple) and tgt[0] == "fresh":
                         g[v] = ("fresh", v)
@@ -862,13 +495,12 @@ def search_finite_witness(e, logic, b):
             if check_finite_witness(w, e, logic):
                 return w
             continue
-        i, h, j = bad
-        pos = e.positives[i]
+        i, h = bad
         anchor = _element_part(sorted(h.as_dict().values(), key=repr)[0])
         if anchor is None:
             anchor = 0
         next_states = []
-        for p, g in repairs(state, i, h, j):
+        for p, g in repairs(state, i, h):
             ns = apply_repair(state, p, dict(g), anchor)
             if ns is None or ns == state:
                 continue
@@ -885,34 +517,25 @@ def search_finite_witness(e, logic, b):
     return None
 
 
-def synthesize_vd_ontology(w, logic, e=None, verified=False):
+def synthesize_vd_ontology(w, logic, e=None):
     """An ontology forcing every model to collapse onto the finite witness:
     one fresh name per witness element, a covering disjoint partition, exact
-    labels, and exact (non-)edges, over inverse roles too when available."""
-    if isinstance(w, WitnessParts):
-        if e is None:
-            e = w.collection
-        j = w.combined
-    else:
-        j = w
-    if not verified:
-        if e is None or not isinstance(w, WitnessParts):
-            raise InputError("refusing to synthesize from an unverified "
-                             "witness")
-        if not check_finite_witness(w, e, logic):
-            raise InputError("witness failed verification")
+    labels, and exact (non-)edges, over inverse roles too when available.
+    The witness is re-verified first; e defaults to its own collection."""
+    if e is None:
+        e = w.collection
+    if not check_finite_witness(w, e, logic):
+        raise InputError("witness failed verification")
+    j = w.combined
     elems = sorted(j.domain, key=repr)
     v = {d: Name(f"{PARTITION_PREFIX}{k}") for k, d in enumerate(elems)}
     axioms = {(Top(), _big_or([v[d] for d in elems]))}
     for i, d in enumerate(elems):
         for d2 in elems[i + 1:]:
             axioms.add((And(v[d], v[d2]), Bottom()))
-    concept_names = sorted(j.concept_ext)
-    role_names = sorted(j.role_ext)
-    if e is not None:
-        sig = signature_of(e)
-        concept_names = sorted(set(concept_names) | sig.concept_names)
-        role_names = sorted(set(role_names) | sig.role_names)
+    sig = signature_of(e)
+    concept_names = sorted(set(j.concept_ext) | sig.concept_names)
+    role_names = sorted(set(j.role_ext) | sig.role_names)
     for d in elems:
         for n in concept_names:
             if d in j.concept_ext.get(n, frozenset()):

@@ -92,13 +92,6 @@ def test_reachability_anchors_restrict_variables_only():
     assert [h.as_dict() for h in homs] == [{"x": "mid"}]
 
 
-def test_depth_window_requires_graded_target():
-    q = cq(concepts=[("A", "x")], variables=["x"])
-    with pytest.raises(InputError):
-        homomorphisms(q, abox(concepts=[("A", "a")]),
-                      HomConstraints(depth_window=(0, 1)))
-
-
 def test_results_are_deterministic_and_sorted():
     src = abox(concepts=[("A", "x")])
     tgt = abox(concepts=[("A", "b"), ("A", "a"), ("A", "c")])

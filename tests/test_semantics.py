@@ -7,11 +7,10 @@ from dlfit.core import (
     ALC, ALCI, ALCQ, And, AtLeast, AtMost, Bottom, Exists, Forall,
     InputError, Name, Not, Or, Role, Top, abox, cq, ontology, ucq,
 )
-from dlfit.homs import Mapping
 from dlfit.semantics import (
-    TreeInterpretation, abox_interpretation, build_iah, check_consistency,
+    TreeInterpretation, abox_interpretation, check_consistency,
     entails_ground, entails_ucq_bounded, evaluate_query, extension,
-    find_finite_countermodel, interp, is_forest_model, is_model, unravel,
+    find_finite_countermodel, interp, is_forest_model, is_model,
 )
 
 R = Role("r")
@@ -155,48 +154,6 @@ def test_tree_interpretation_validation():
                            frozenset({((2,), "r", False)}))  # gap: no (1,)
     with pytest.raises(InputError):
         TreeInterpretation(frozenset({((1,), "A")}), frozenset())  # no edge
-
-
-def test_unravel_of_cycle_is_a_tree_with_hom_back():
-    i = two_cycle()
-    tree, tails = unravel(i, "a", ALC, 3)
-    assert tree.depth == 3
-    # each word maps back to the element it copies
-    back = {(): "a"}
-    for w in sorted(tree.words, key=len):
-        if not w:
-            continue
-        r, up = tree.edge_at(w)
-        assert not up  # ALC unravels forward only
-        succs = {y for (rr, x, y) in i.edges
-                 if rr == r and x == back[w[:-1]]}
-        matches = [y for y in succs if tree.labels_at(w) ==
-                   {n for n, e in i.labels if e == y}]
-        assert matches
-        back[w] = matches[0]
-    assert set(tails) <= set(tree.words)
-
-
-def test_unravel_alci_walks_edges_backwards_too():
-    i = interp({"a", "t"}, {("B", "t")}, {("r", "t", "a")}, {("a", "a")})
-    tree_alc, _ = unravel(i, "a", ALC, 2)
-    tree_alci, _ = unravel(i, "a", ALCI, 2)
-    assert tree_alc.words == frozenset({()})
-    assert any(up for _, _, up in tree_alci.node_edges)
-
-
-def test_build_iah_pulls_back_labels_and_undoes_identifications():
-    i = interp({"u"}, {("A", "u"), ("B", "u")}, {("r", "u", "u")},
-               {("a", "u")})
-    a = abox(roles=[("r", "x", "y")])
-    h = Mapping((("x", "u"), ("y", "u")))
-    j = build_iah(i, a, h, ALC, 2)
-    assert {"A", "B"} <= {n for n, e in j.labels if e == "x"}
-    assert ("r", "x", "y") in j.edges
-    assert ("r", "x", "x") not in j.edges  # identification undone
-    with pytest.raises(InputError):
-        build_iah(i, abox(concepts=[("C", "z")]), Mapping((("z", "u"),)),
-                  ALC, 1)  # not a homomorphism: C missing at u
 
 
 def test_entails_ground_basics():

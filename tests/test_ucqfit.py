@@ -1,5 +1,6 @@
-"""Bounded fitting for unions of conjunctive queries: variations, mosaics,
-finite witnesses, and the decision procedure."""
+"""Bounded fitting for unions of conjunctive queries: variations, the
+per-homomorphism obligation, mosaics, finite witnesses, and the decision
+procedure."""
 
 import pytest
 
@@ -8,14 +9,14 @@ from dlfit.core import (
     aq_query, collection, cq, preprocess_collection, size_of, ucq,
 )
 from dlfit.harness import inverse_cycles_collection
-from dlfit.semantics import interp, is_model
+from dlfit.homs import homomorphisms
+from dlfit.semantics import interp
 from dlfit.ucqfit import (
-    AvoidSet, Bounds, ChoiceFns, FITTING_EXISTS, Mosaic,
-    NO_FITTING_WITHIN_BOUNDS, TreeInterpretation, WitnessParts,
-    all_choice_functions, check_condition_b_local, check_finite_witness,
+    Bounds, FITTING_EXISTS, Mosaic, NO_FITTING_WITHIN_BOUNDS,
+    TreeInterpretation, UNKNOWN, WitnessParts, check_finite_witness,
     decide_ucq_fitting, degree_bound, eliminate_mosaics,
-    enumerate_base_candidates, enumerate_mosaics, enumerate_proper_variations,
-    glues_to, search_finite_witness, synthesize_vd_ontology,
+    enumerate_proper_variations, glues_to, obligation_holds,
+    search_finite_witness, synthesize_vd_ontology,
 )
 
 
@@ -75,48 +76,27 @@ def inverse_cycles_first_positive():
                           variables=["x"])))
 
 
+def condition_b(piece, e, logic):
+    """Every homomorphism from the positive ABox into the piece meets the
+    variation obligation."""
+    return all(obligation_holds(piece, e, h, logic)
+               for h in homomorphisms(e.abox, piece))
+
+
 def test_condition_b_on_the_inverse_child_piece():
     piece = interp({"a", "c"}, {("A1", "a"), ("A2", "c")}, {("r", "c", "a")},
                    {("a", "a")})
     e = inverse_cycles_first_positive()
-    assert check_condition_b_local(piece, e, None, ALCI)
-    assert not check_condition_b_local(piece, e, None, ALC)
+    assert homomorphisms(e.abox, piece)
+    assert condition_b(piece, e, ALCI)
+    assert not condition_b(piece, e, ALC)
 
 
 def test_condition_b_vacuous_without_homomorphisms():
     piece = interp({"u"}, {("B", "u")}, set(), {("a", "u")})
     e = inverse_cycles_first_positive()
-    assert check_condition_b_local(piece, e, None, ALC)
-
-
-def chain_mosaic_collection():
-    """One negative whose query names an individual, so no tree matches it;
-    signature {A, B} x {r}."""
-    q = ucq(cq(concepts=[("B", "c")],
-               roles=[("r", "c", "c2")]))
-    negative = neg(abox(concepts=[("A", "c")], roles=[("r", "c", "c2")]), q)
-    return collection([], [negative], UCQ_MODE, ALC)
-
-
-def test_mosaic_count_matches_direct_chain_enumeration():
-    e = chain_mosaic_collection()
-    ch = next(all_choice_functions(e))
-    b = Bounds(depth_unit=1, degree=1)
-    mosaics = enumerate_mosaics(e, ch, AvoidSet(frozenset()), 0, b)
-    # chains of depth <= 3 over 4 label sets: 4 + 4^2 + 4^3 + 4^4
-    assert len(mosaics) == 340
-
-
-def test_avoid_set_removes_labels():
-    e = chain_mosaic_collection()
-    ch = next(all_choice_functions(e))
-    b = Bounds(depth_unit=1, degree=1)
-    avoid = AvoidSet(frozenset({abox(concepts=[("A", "x")])}))
-    mosaics = enumerate_mosaics(e, ch, avoid, 0, b)
-    # only B-or-empty labelings remain: 2 + 2^2 + 2^3 + 2^4
-    assert len(mosaics) == 30
-    for m in mosaics:
-        assert all(n != "A" for _, n in m.tree.node_labels)
+    assert homomorphisms(e.abox, piece) == []
+    assert condition_b(piece, e, ALC)
 
 
 def uniform_chain(labels_per_level):
@@ -154,25 +134,6 @@ def test_eliminate_mosaics_is_decreasing_and_a_fixpoint():
     s = eliminate_mosaics(s0)
     assert s <= s0
     assert eliminate_mosaics(s) == s
-
-
-def test_base_candidates_start_from_the_bare_abox_model():
-    e = preprocess_collection(collection(
-        [], [neg(abox(concepts=[("A", "a")]), aq_query("B", "a"))],
-        UCQ_MODE, ALC))
-    ch = next(all_choice_functions(e))
-    b = Bounds(depth_unit=1, degree=1)
-    gen = enumerate_base_candidates(e, ch, AvoidSet(frozenset()), b)
-    first = next(gen)
-    (ind,) = e.negatives[0].abox.individuals
-    combined = first.combined
-    assert combined.domain == frozenset({(ind, ())})
-    assert combined.labels == frozenset({("A", (ind, ()))})
-    # condition 1: no candidate may label the individual with B
-    for k, c in enumerate(gen):
-        assert ("B", (ind, ())) not in c.combined.labels
-        if k >= 20:
-            break
 
 
 def handmade_witness(e6):
@@ -215,6 +176,18 @@ def test_decide_ucq_fitting_inverse_cycles_under_both_logics():
     alc = decide_ucq_fitting(inverse_cycles_collection(ALC),
                              Bounds(depth_unit=2, degree=2))
     assert alc.outcome == NO_FITTING_WITHIN_BOUNDS
+
+
+def test_decide_ucq_fitting_caps_core_labelings():
+    # one optional slot, B on the negative individual: two labelings
+    e = collection(
+        [], [neg(abox(concepts=[("A", "c")]), aq_query("B", "c"))],
+        UCQ_MODE, ALC)
+    capped = decide_ucq_fitting(e, Bounds(max_mosaics=1))
+    assert capped.outcome == UNKNOWN
+    assert "core labelings" in capped.diagnostics
+    assert decide_ucq_fitting(e, Bounds(max_mosaics=2)).outcome == \
+        FITTING_EXISTS
 
 
 def test_decide_ucq_fitting_without_negatives():
