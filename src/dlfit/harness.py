@@ -24,8 +24,13 @@ LOGIC_NAMES = {"alc": ALC, "alci": ALCI, "alcq": ALCQ}
 LOGIC_TEXT = {v: k for k, v in LOGIC_NAMES.items()}
 
 _KEYWORDS = frozenset([
-    "top", "bot", "not", "and", "or", "exists", "forall", "atmost", "sub",
+    "top", "bot", "not", "and", "or", "exists", "forall", "atmost", "atleast",
+    "sub",
 ])
+
+# deeper concepts are refused: the parser and the recursive passes over
+# concepts (hashing, subconcepts, serialization) would overflow the stack
+MAX_CONCEPT_DEPTH = 200
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[^\S\n]+)
@@ -123,33 +128,38 @@ class _Parser:
         inverted = self.accept("-") is not None
         return Role(n, inverted)
 
-    def concept(self):
+    def concept(self, depth=0):
         tok = self.peek()
+        if depth >= MAX_CONCEPT_DEPTH:
+            self.error(f"concept nested deeper than {MAX_CONCEPT_DEPTH} "
+                       "levels")
+        depth += 1
         if self.accept("top"):
             return Top()
         if self.accept("bot"):
             return Bottom()
         if self.accept("not"):
-            return Not(self.concept())
+            return Not(self.concept(depth))
         if self.accept("exists"):
             r = self.role()
             self.expect(".")
-            return Exists(r, self.concept())
+            return Exists(r, self.concept(depth))
         if self.accept("forall"):
             r = self.role()
             self.expect(".")
-            return Forall(r, self.concept())
-        if self.accept("atmost"):
-            n = self.number()
-            r = self.role()
-            return AtMost(n, r, self.concept())
+            return Forall(r, self.concept(depth))
+        for word, cls in (("atmost", AtMost), ("atleast", AtLeast)):
+            if self.accept(word):
+                n = self.number()
+                r = self.role()
+                return cls(n, r, self.concept(depth))
         if self.accept("("):
-            left = self.concept()
+            left = self.concept(depth)
             op = self.peek()
             if self.accept("and"):
-                out = And(left, self.concept())
+                out = And(left, self.concept(depth))
             elif self.accept("or"):
-                out = Or(left, self.concept())
+                out = Or(left, self.concept(depth))
             else:
                 self.error("expected 'and' or 'or'", op)
             self.expect(")")
@@ -266,6 +276,8 @@ def concept_text(c):
         return f"forall {role_text(c.role)} . {concept_text(c.arg)}"
     if isinstance(c, AtMost):
         return f"atmost {c.bound} {role_text(c.role)} {concept_text(c.arg)}"
+    if isinstance(c, AtLeast):
+        return f"atleast {c.bound} {role_text(c.role)} {concept_text(c.arg)}"
     raise TypeError(f"cannot serialize concept {c!r}")
 
 

@@ -11,7 +11,7 @@ from .core import ABox, CQ, ALCI, InputError
 class HomConstraints:
     fixed: tuple = ()  # of (term, target element) pairs
     locally_injective: bool = False
-    reachability_anchors: tuple = None  # (frozenset of elements, logic)
+    reachable: frozenset = None  # the elements variables may map to
 
     def fixed_map(self):
         return dict(self.fixed)
@@ -24,9 +24,6 @@ _NONE = frozenset()
 @dataclass(frozen=True)
 class Mapping:
     assignment: tuple  # of (source term, target element) pairs, sorted
-
-    def __getitem__(self, term):
-        return dict(self.assignment)[term]
 
     def as_dict(self):
         return dict(self.assignment)
@@ -112,36 +109,29 @@ def target_view(target):
     if isinstance(target, ABox):
         return TargetView(target.individuals, set(target.concept_assertions),
                           set(target.role_assertions))
-    # interpretation-like: domain / concept_ext / role_ext
-    if hasattr(target, "domain"):
-        labels = {(n, e) for n, ext in target.concept_ext.items() for e in ext}
-        edges = {(r, x, y) for r, ext in target.role_ext.items()
-                 for x, y in ext}
-        return TargetView(target.domain, labels, edges)
+    # an interpretation keeps its own view, built once
+    if hasattr(target, "view"):
+        return target.view
     raise TypeError(f"unsupported homomorphism target {type(target).__name__}")
 
 
-def reachable_set(target, start, logic):
-    """Elements reachable from start by role steps (forward only under ALC,
-    either direction under ALCI); start itself included."""
+def reachable_set(target, starts, logic):
+    """Elements reachable from any of the starts by role steps (forward only
+    under ALC, either direction under ALCI); the starts themselves included."""
     view = target_view(target)
-    seen = {start}
-    frontier = [start]
+    roles = {r for r, _ in view.succ}
+    steps = (view.succ, view.pred) if logic == ALCI else (view.succ,)
+    seen = set(starts)
+    frontier = list(seen)
     while frontier:
         e = frontier.pop()
-        nxt = set()
-        for (r, x), ys in view.succ.items():
-            if x == e:
-                nxt |= ys
-        if logic == ALCI:
-            for (r, y), xs in view.pred.items():
-                if y == e:
-                    nxt |= xs
-        for y in nxt:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
+        for index in steps:
+            for r in roles:
+                for y in index.get((r, e), _NONE):
+                    if y not in seen:
+                        seen.add(y)
+                        frontier.append(y)
+    return frozenset(seen)
 
 
 def homomorphisms(source, target, constraints=NO_CONSTRAINTS, want="all"):
@@ -153,13 +143,6 @@ def homomorphisms(source, target, constraints=NO_CONSTRAINTS, want="all"):
     for t, e in fixed.items():
         if e not in view.element_set:
             raise InputError(f"fixed target element {e!r} not in target")
-
-    allowed_reach = None
-    if constraints.reachability_anchors is not None:
-        anchors, logic = constraints.reachability_anchors
-        allowed_reach = set()
-        for a in anchors:
-            allowed_reach |= reachable_set(view, a, logic)
 
     variables = source.variables if isinstance(source, CQ) else frozenset()
     if not terms:
@@ -187,8 +170,8 @@ def homomorphisms(source, target, constraints=NO_CONSTRAINTS, want="all"):
         cs = {fixed[t]} if t in fixed else set(view.element_set)
         for n in names_of[t]:
             cs &= view.labeled(n)
-        if allowed_reach is not None and t in variables:
-            cs &= allowed_reach
+        if constraints.reachable is not None and t in variables:
+            cs &= constraints.reachable
         for r in loops[t]:
             cs = {e for e in cs if e in view.succ.get((r, e), ())}
         if not cs:

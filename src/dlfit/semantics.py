@@ -7,7 +7,7 @@ from itertools import product
 
 from .core import (
     ALC, ALCI, ALCQ, ABox, And, AtLeast, AtMost, Bottom, Exists,
-    Forall, InputError, Name, Not, Ontology, Or, Role, Signature, Top, UCQ,
+    Forall, InputError, Name, Not, Ontology, Or, Role, Top, UCQ,
     UnsupportedLogicError, expand_abbreviations, signature_of, subconcepts,
 )
 from .homs import HomConstraints, TargetView, homomorphisms
@@ -21,7 +21,6 @@ class Interpretation:
     labels: frozenset  # of (concept-name, element)
     edges: frozenset  # of (role-name, element, element)
     names: frozenset = frozenset()  # of (individual, element)
-    declared: Signature = Signature(frozenset(), frozenset())
 
     def __post_init__(self):
         if not self.domain:
@@ -41,18 +40,10 @@ class Interpretation:
             seen[a] = e
 
     @cached_property
-    def concept_ext(self):
-        out = {n: set() for n in self.declared.concept_names}
-        for n, e in self.labels:
-            out.setdefault(n, set()).add(e)
-        return {n: frozenset(es) for n, es in out.items()}
-
-    @cached_property
-    def role_ext(self):
-        out = {r: set() for r in self.declared.role_names}
-        for r, x, y in self.edges:
-            out.setdefault(r, set()).add((x, y))
-        return {r: frozenset(ps) for r, ps in out.items()}
+    def view(self):
+        """The labels and edges indexed by name and by (role, element),
+        built once and shared by every reader."""
+        return TargetView(self.domain, self.labels, self.edges)
 
     @cached_property
     def name_map(self):
@@ -64,26 +55,23 @@ class Interpretation:
             raise InputError(f"individual {individual} is not anchored")
         return m[individual]
 
-    def role_pairs(self, role):
-        pairs = self.role_ext.get(role.name, frozenset())
-        if role.inverted:
-            return frozenset((y, x) for x, y in pairs)
-        return pairs
+    def successors(self, role, x):
+        """The elements that x reaches by one step in the role."""
+        index = self.view.pred if role.inverted else self.view.succ
+        return index.get((role.name, x), frozenset())
 
 
-def interp(domain, labels=(), edges=(), names=(), declared=None):
+def interp(domain, labels=(), edges=(), names=()):
     return Interpretation(frozenset(domain), frozenset(labels),
-                          frozenset(edges), frozenset(names),
-                          declared or Signature(frozenset(), frozenset()))
+                          frozenset(edges), frozenset(names))
 
 
-def abox_interpretation(a, declared=None):
+def abox_interpretation(a):
     """The ABox viewed as an interpretation over exactly its individuals."""
     if not a.individuals:
         raise InputError("an empty ABox induces no interpretation")
     return interp(a.individuals, set(a.concept_assertions),
-                  set(a.role_assertions), {(i, i) for i in a.individuals},
-                  declared)
+                  set(a.role_assertions), {(i, i) for i in a.individuals})
 
 
 @dataclass(frozen=True)
@@ -146,31 +134,23 @@ def extension(i, c):
     if isinstance(c, Bottom):
         return set()
     if isinstance(c, Name):
-        return set(i.concept_ext.get(c.name, frozenset()))
+        return set(i.view.labeled(c.name))
     if isinstance(c, Not):
         return set(i.domain) - extension(i, c.arg)
     if isinstance(c, And):
         return extension(i, c.left) & extension(i, c.right)
     if isinstance(c, Or):
         return extension(i, c.left) | extension(i, c.right)
-    pairs = i.role_pairs(c.role)
     inner = extension(i, c.arg)
-    succ = {}
-    for x, y in pairs:
-        if y in inner:
-            succ.setdefault(x, set()).add(y)
-    if isinstance(c, Exists):
-        return set(succ)
     if isinstance(c, Forall):
-        bad = set()
-        for x, y in pairs:
-            if y not in inner:
-                bad.add(x)
-        return set(i.domain) - bad
+        return {x for x in i.domain if i.successors(c.role, x) <= inner}
+    count = {x: len(i.successors(c.role, x) & inner) for x in i.domain}
+    if isinstance(c, Exists):
+        return {x for x, n in count.items() if n > 0}
     if isinstance(c, AtMost):
-        return {x for x in i.domain if len(succ.get(x, ())) <= c.bound}
+        return {x for x, n in count.items() if n <= c.bound}
     if isinstance(c, AtLeast):
-        return {x for x in i.domain if len(succ.get(x, ())) >= c.bound}
+        return {x for x, n in count.items() if n >= c.bound}
     raise TypeError(f"not a concept: {c!r}")
 
 
@@ -180,14 +160,10 @@ def is_model(i, x):
         return all(extension(i, lhs) <= extension(i, rhs)
                    for lhs, rhs in x.inclusions)
     if isinstance(x, ABox):
-        for n, a in x.concept_assertions:
-            if i.element_of(a) not in i.concept_ext.get(n, frozenset()):
-                return False
-        for r, a, b in x.role_assertions:
-            if (i.element_of(a), i.element_of(b)) not in \
-                    i.role_ext.get(r, frozenset()):
-                return False
-        return True
+        return all((n, i.element_of(a)) in i.labels
+                   for n, a in x.concept_assertions) and \
+            all((r, i.element_of(a), i.element_of(b)) in i.edges
+                for r, a, b in x.role_assertions)
     raise TypeError(f"cannot check modelhood of {type(x).__name__}")
 
 
@@ -499,8 +475,7 @@ def _check_consistency_alcq(a, o):
         labels = labels0 | {optional[i] for i in range(len(optional))
                             if bits >> i & 1}
         i = interp(elements, labels, edges,
-                   {(e, e) for e in elements} if a.individuals else (),
-                   declared=sig)
+                   {(e, e) for e in elements} if a.individuals else ())
         return is_model(i, o) and (not a.individuals or is_model(i, a))
 
     return any(attempt(bits) for bits in range(1 << len(optional)))
@@ -573,22 +548,22 @@ class EntailmentAnswer:
         return self.status == "entailed"
 
 
-def _candidate_interpretation(a, types, ts, edges, declared):
+def _candidate_interpretation(a, types, ts, edges):
     labels = set()
     for e, t in types.items():
         for atom in t:
             if atom[0] == "n":
                 labels.add((atom[1], e))
     names = {(x, x) for x in a.individuals}
-    return interp(set(types), labels, edges, names, declared)
+    return interp(set(types), labels, edges, names)
 
 
 def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
     """Three-valued entailment of a union of conjunctive queries: searches
     tree-extended countermodels up to the depth bound (claiming entailment
     only when every candidate already satisfies the query)."""
-    declared = signature_of(o) | signature_of(a) | signature_of(q)
-    q_names = sorted(declared.concept_names)
+    sig = signature_of(o) | signature_of(a) | signature_of(q)
+    q_names = sorted(sig.concept_names)
     ts = type_system(o, logic, extra_names=tuple(q_names))
     if not a.individuals:
         raise InputError("bounded entailment requires a non-empty ABox")
@@ -679,7 +654,7 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
                 if ("e", e_atom) in t and \
                         not witnessed(elem, e_atom, types, edges):
                     attach(elem, t, e_atom)
-        return _candidate_interpretation(a, types, ts, edges, declared)
+        return _candidate_interpretation(a, types, ts, edges)
 
     def matches(view):
         """Whether some disjunct maps into the view (the full check)."""
@@ -774,7 +749,7 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
             return None
         # no expandable obligations left: the loop added nothing, so the
         # candidate is this node's, which the check above found unmatched
-        candidate = _candidate_interpretation(a, types, ts, edges, declared)
+        candidate = _candidate_interpretation(a, types, ts, edges)
         if not pending:
             return candidate
         closed = closure_model(types, edges, depths)
@@ -835,8 +810,7 @@ def find_finite_countermodel(a, o, q, logic, max_size, budget=200000):
             edges = forced_edges | {
                 free_edge_slots[i] for i in range(len(free_edge_slots))
                 if edge_bits >> i & 1}
-            i = interp(elements, labels, edges,
-                       {(x, x) for x in inds}, declared=sig)
+            i = interp(elements, labels, edges, {(x, x) for x in inds})
             if not is_model(i, o):
                 return None
             if inds and not is_model(i, a):

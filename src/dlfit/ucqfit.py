@@ -3,18 +3,19 @@ variation-based obligation checking, finite-witness search, and ontology
 synthesis from finite witnesses."""
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .core import (
     ALC, ALCI, And, Bottom, BOTTOM_ONTOLOGY, CQ, Exists, InputError, Name,
-    Not, Ontology, PARTITION_PREFIX, Role, Signature, Top, UCQ_MODE,
+    Not, Ontology, PARTITION_PREFIX, Role, Top, UCQ_MODE,
     preprocess_collection, signature_of, size_of,
 )
 from .flatfit import (
     FITTING_EXISTS, FitVerdict, NO_FITTING, NO_FITTING_WITHIN_BOUNDS,
     UNKNOWN, _big_or,
 )
-from .homs import HomConstraints, homomorphisms
+from .homs import HomConstraints, homomorphisms, reachable_set
 from .semantics import (
     Interpretation, TreeInterpretation, evaluate_query, interp,
     is_forest_model, is_model,
@@ -182,14 +183,13 @@ def obligation_holds(piece, e, h, logic, variations=None):
     hmap = h.as_dict() if hasattr(h, "as_dict") else dict(h)
     if variations is None:
         variations = _variation_pool(e, logic)
-    anchors = frozenset(hmap.values())
+    reachable = reachable_set(piece, hmap.values(), logic)
     for p in variations:
         fixed = tuple(sorted((t, hmap[t]) for t in p.individuals
                              if t in hmap))
         if len(fixed) < len(p.individuals):
             continue  # not locally checkable against this homomorphism
-        constraints = HomConstraints(
-            fixed=fixed, reachability_anchors=(anchors, logic))
+        constraints = HomConstraints(fixed=fixed, reachable=reachable)
         if homomorphisms(p, piece, constraints, want="first"):
             return True
     return False
@@ -263,7 +263,7 @@ class WitnessParts:
     parts: tuple
     collection: object
 
-    @property
+    @cached_property
     def combined(self):
         domain, labels, edges, names = set(), set(), set(), set()
         for p in self.parts:
@@ -273,12 +273,7 @@ class WitnessParts:
             labels |= p.labels
             edges |= p.edges
             names |= p.names
-        sig = signature_of(self.collection)
-        for p in self.parts:
-            sig = sig | Signature(frozenset(n for n, _ in p.labels),
-                                  frozenset(r for r, _, _ in p.edges))
-        return Interpretation(frozenset(domain), frozenset(labels),
-                              frozenset(edges), frozenset(names), sig)
+        return interp(domain, labels, edges, names)
 
 
 def check_finite_witness(w, e, logic):
@@ -534,11 +529,11 @@ def synthesize_vd_ontology(w, logic, e=None):
         for d2 in elems[i + 1:]:
             axioms.add((And(v[d], v[d2]), Bottom()))
     sig = signature_of(e)
-    concept_names = sorted(set(j.concept_ext) | sig.concept_names)
-    role_names = sorted(set(j.role_ext) | sig.role_names)
+    concept_names = sorted({n for n, _ in j.labels} | sig.concept_names)
+    role_names = sorted({r for r, _, _ in j.edges} | sig.role_names)
     for d in elems:
         for n in concept_names:
-            if d in j.concept_ext.get(n, frozenset()):
+            if (n, d) in j.labels:
                 axioms.add((v[d], Name(n)))
             else:
                 axioms.add((v[d], Not(Name(n))))
@@ -546,9 +541,9 @@ def synthesize_vd_ontology(w, logic, e=None):
         if logic == ALCI:
             roles += [Role(r, True) for r in role_names]
         for role in roles:
-            pairs = j.role_pairs(role)
+            succ = j.successors(role, d)
             for d2 in elems:
-                if (d, d2) in pairs:
+                if d2 in succ:
                     axioms.add((v[d], Exists(role, v[d2])))
                 else:
                     axioms.add((v[d], Not(Exists(role, v[d2]))))

@@ -5,15 +5,15 @@ import pathlib
 import pytest
 
 from dlfit.core import (
-    ALC, ALCI, ALCQ, Exists, InputError, Name, Role, abox, cq,
+    ALC, ALCI, ALCQ, AtLeast, Exists, InputError, Name, Role, abox, cq,
     normalize_ontology, ontology, preprocess_collection, ucq,
 )
 from dlfit.cli import main
 from dlfit.harness import (
-    FIXTURE_COLLECTIONS, fixture_ontologies, generate_from_entailment,
-    bibliography_collection, bibliography_ontologies, parse_abox, parse_collection,
-    parse_ontology, parse_query, serialize_collection, serialize_ontology,
-    verify_fit,
+    FIXTURE_COLLECTIONS, MAX_CONCEPT_DEPTH, fixture_ontologies,
+    generate_from_entailment, bibliography_collection,
+    bibliography_ontologies, parse_abox, parse_collection, parse_ontology,
+    parse_query, serialize_collection, serialize_ontology, verify_fit,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -47,6 +47,31 @@ def test_parse_concept_constructs():
     o = parse_ontology("not A sub (B and (C or top))\n"
                        "forall r . A sub exists s . bot")
     assert len(o.inclusions) == 2
+
+
+def test_atleast_parses_and_round_trips():
+    o = parse_ontology("A sub atleast 2 r (B and not C)")
+    assert o.logic == ALCQ
+    (_, rhs), = o.inclusions
+    assert isinstance(rhs, AtLeast) and rhs.bound == 2
+    assert rhs.role == Role("r")
+    assert parse_ontology(serialize_ontology(o)) == o
+
+
+def test_bare_atleast_is_not_a_concept_name():
+    with pytest.raises(InputError) as err:
+        parse_ontology("atleast sub B")
+    assert "expected a number" in str(err.value)
+    with pytest.raises(InputError):
+        parse_abox("atleast(a)")
+
+
+def test_concept_nesting_is_capped():
+    ok = "A sub " + "not " * (MAX_CONCEPT_DEPTH - 1) + "B"
+    assert len(parse_ontology(ok).inclusions) == 1
+    with pytest.raises(InputError) as err:
+        parse_ontology("A sub " + "not " * MAX_CONCEPT_DEPTH + "B")
+    assert "line 1, column" in str(err.value)
 
 
 def test_parse_errors_carry_line_and_column():
@@ -237,3 +262,12 @@ def test_cli_input_errors_exit_3(tmp_path, capsys):
     assert main(["fit", str(bad)]) == 3
     err = capsys.readouterr().err
     assert "error:" in err and "line" in err
+
+
+def test_cli_deeply_nested_concept_exits_3(tmp_path, capsys):
+    deep = tmp_path / "deep.dl"
+    deep.write_text("A sub " + "not " * 3000 + "B\n")
+    assert main(["verify", "--ontology", str(deep),
+                 str(FIXTURES / "edge_loop.ex")]) == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "nested deeper" in err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlfit.core import ALC, ALCI, InputError, Role, abox, cq
+from dlfit.semantics import interp
 from dlfit.homs import (
     HomConstraints, Mapping, homomorphisms, is_locally_injective,
     reachable_set, strong_constraints, target_view,
@@ -77,18 +78,39 @@ def test_is_locally_injective():
 
 def test_reachable_set_respects_logic():
     tgt = abox(roles=[("r", "a", "b"), ("r", "c", "b")])
-    assert reachable_set(tgt, "a", ALC) == {"a", "b"}
-    assert reachable_set(tgt, "a", ALCI) == {"a", "b", "c"}
+    assert reachable_set(tgt, {"a"}, ALC) == {"a", "b"}
+    assert reachable_set(tgt, {"a"}, ALCI) == {"a", "b", "c"}
+
+
+def test_reachable_set_from_several_starts():
+    # two components: a -> b <- c, and d -> e; f has no edges
+    tgt = abox(concepts=[("A", "f")],
+               roles=[("r", "a", "b"), ("s", "c", "b"), ("r", "d", "e")])
+    assert reachable_set(tgt, {"b"}, ALC) == {"b"}
+    assert reachable_set(tgt, {"b"}, ALCI) == {"a", "b", "c"}
+    assert reachable_set(tgt, {"f"}, ALCI) == {"f"}
+    assert reachable_set(tgt, {"a", "d"}, ALC) == {"a", "b", "d", "e"}
+    assert reachable_set(tgt, {"c", "e"}, ALCI) == {"a", "b", "c", "d", "e"}
+    assert reachable_set(tgt, set(), ALCI) == set()
+
+
+def test_interpretation_keeps_one_target_view():
+    i = interp({"a", "b"}, {("A", "a")}, {("r", "a", "b")})
+    assert target_view(i) is target_view(i)
+    assert target_view(i).labeled("A") == {"a"}
+    assert reachable_set(i, {"a"}, ALC) == {"a", "b"}
 
 
 def test_reachability_anchors_restrict_variables_only():
     q = cq(concepts=[("A", "x")], variables=["x"])
+
+    def anchored(tgt):
+        return HomConstraints(reachable=reachable_set(tgt, {"near"}, ALC))
+
     tgt = abox(concepts=[("A", "far")], roles=[("r", "near", "mid")])
-    anchored = HomConstraints(
-        reachability_anchors=(frozenset({"near"}), ALC))
-    assert homomorphisms(q, tgt, anchored) == []
+    assert homomorphisms(q, tgt, anchored(tgt)) == []
     tgt2 = abox(concepts=[("A", "mid")], roles=[("r", "near", "mid")])
-    homs = homomorphisms(q, tgt2, anchored)
+    homs = homomorphisms(q, tgt2, anchored(tgt2))
     assert [h.as_dict() for h in homs] == [{"x": "mid"}]
 
 
@@ -121,7 +143,7 @@ def test_target_view_push_and_pop():
     assert view.elements == ["a", "b"]
     assert view.labeled("B") == set()
     assert homomorphisms(q, view) == []
-    assert reachable_set(view, "a", ALC) == {"a", "b"}
+    assert reachable_set(view, {"a"}, ALC) == {"a", "b"}
 
 
 def small_aboxes(inds, max_atoms=4):

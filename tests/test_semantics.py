@@ -48,6 +48,54 @@ def test_extension_boolean_and_role_constructs():
     assert extension(i, AtLeast(2, R, Top())) == {"a"}
 
 
+@st.composite
+def small_interpretations(draw):
+    domain = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4,
+                           unique=True))
+    elems = st.sampled_from(domain)
+    labels = draw(st.sets(st.tuples(st.sampled_from("AB"), elems)))
+    edges = draw(st.sets(st.tuples(st.just("r"), elems, elems)))
+    return interp(domain, labels, edges)
+
+
+def brute_force_extension(i, c):
+    """The quantified concept over names, by its definition on the labels
+    and edges; c.arg is a concept name."""
+    inner = {e for n, e in i.labels if n == c.arg.name}
+    out = set()
+    for x in i.domain:
+        if c.role.inverted:
+            ys = {y for r, y, z in i.edges if r == "r" and z == x}
+        else:
+            ys = {z for r, y, z in i.edges if r == "r" and y == x}
+        n = len(ys & inner)
+        if isinstance(c, Exists):
+            keep = n >= 1
+        elif isinstance(c, Forall):
+            keep = ys <= inner
+        elif isinstance(c, AtMost):
+            keep = n <= c.bound
+        else:
+            keep = n >= c.bound
+        if keep:
+            out.add(x)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_interpretations(), st.sampled_from([Exists, Forall, AtMost,
+                                                 AtLeast]),
+       st.booleans(), st.sampled_from("AB"), st.integers(0, 3))
+def test_extension_of_quantifiers_matches_definition(i, kind, inverted,
+                                                     name, bound):
+    role = Role("r", inverted)
+    if kind in (Exists, Forall):
+        c = kind(role, Name(name))
+    else:
+        c = kind(bound, role, Name(name))
+    assert extension(i, c) == brute_force_extension(i, c)
+
+
 def test_is_model_two_step_forbidding_ontology():
     # forbids two consecutive role steps: holds on a single edge, fails on a
     # self-loop
