@@ -24,6 +24,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path):
@@ -108,7 +109,8 @@ def _cmd_verify(args):
     e = parse_collection(_read(args.examples))
     report = verify_fit(o, e)
     for k, r in enumerate(report.results):
-        print(f"example {k + 1} ({r.example.polarity}): {r.status}")
+        detail = f" ({r.detail})" if r.detail else ""
+        print(f"example {k + 1} ({r.example.polarity}): {r.status}{detail}")
     if report.fits:
         print("verdict: fits")
         return EXIT_YES
@@ -203,6 +205,11 @@ def main(argv=None):
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception:
+        # a bug, never a verdict: keep it off the verdict exit codes
+        import traceback  # only here, so that start-up does not pay for it
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

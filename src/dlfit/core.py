@@ -29,6 +29,11 @@ class UnsupportedLogicError(InputError):
     """Construct outside the supported logic fragment."""
 
 
+class BoundsExceeded(Exception):
+    """A configured resource cap was hit; callers surface this as an
+    unknown verdict."""
+
+
 @dataclass(frozen=True)
 class Role:
     name: str

@@ -4,10 +4,10 @@ for atomic / variable-free conjunctive queries."""
 from dataclasses import dataclass
 
 from .core import (
-    ALC, ALCI, ALCQ, AQ, AtMost, And, Bottom, BOTTOM_ONTOLOGY, CONSISTENCY,
-    Exists, FULLCQ, FRESH_HEAD_PREFIX, Forall, InputError, Name, Not,
-    Ontology, Or, PARTITION_PREFIX, Role, Top, abox, aq_query, collection,
-    signature_of,
+    ALC, ALCI, ALCQ, AQ, AtMost, And, Bottom, BOTTOM_ONTOLOGY, BoundsExceeded,
+    CONSISTENCY, Exists, FULLCQ, FRESH_HEAD_PREFIX, Forall, InputError, Name,
+    Not, Ontology, Or, PARTITION_PREFIX, Role, Top, abox, aq_query,
+    collection, signature_of,
 )
 from .homs import HomConstraints, homomorphisms
 from .semantics import entails_ground
@@ -290,6 +290,16 @@ def synthesize_fitting_ontology_flat(c, e):
     return o
 
 
+def _synthesized_verdict(c, e):
+    """The fitting ontology read off the refutation-free completion c, or
+    unknown when its re-verification hits a cap."""
+    try:
+        o = synthesize_fitting_ontology_flat(c, e)
+    except BoundsExceeded as exc:
+        return FitVerdict(UNKNOWN, diagnostics=str(exc))
+    return FitVerdict(FITTING_EXISTS, ontology=o, certificate=c)
+
+
 def decide_aq_fitting(e):
     """Fitting with atomic queries."""
     if e.mode != AQ:
@@ -303,9 +313,7 @@ def decide_aq_fitting(e):
         (n, a), = _single_disjunct(ex).concept_atoms
         if (n, a) in facts:
             return FitVerdict(NO_FITTING, certificate=(c, ex))
-    return FitVerdict(FITTING_EXISTS,
-                      ontology=synthesize_fitting_ontology_flat(c, e),
-                      certificate=c)
+    return _synthesized_verdict(c, e)
 
 
 def decide_fullcq_fitting(e):
@@ -328,6 +336,4 @@ def decide_fullcq_fitting(e):
         if classify_example(ex) == INCONSISTENT:
             if homomorphisms(ex.abox, comp, want="first"):
                 return FitVerdict(NO_FITTING, certificate=(c, ex))
-    return FitVerdict(FITTING_EXISTS,
-                      ontology=synthesize_fitting_ontology_flat(c, norm),
-                      certificate=c)
+    return _synthesized_verdict(c, norm)

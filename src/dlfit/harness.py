@@ -7,17 +7,18 @@ import time
 from dataclasses import dataclass
 
 from .core import (
-    ALC, ALCI, ALCQ, AQ, AtLeast, AtMost, And, Bottom, CONSISTENCY, CQ,
-    Exists, Example, ExampleCollection, FULLCQ, Forall, InputError, MODES,
-    Name, Not, Ontology, Or, Role, Top, UCQ, UCQ_MODE, UnsupportedLogicError,
-    abox, aq_query, collection, cq, normalize_ontology, ontology,
-    signature_of, subconcepts, ucq,
+    ALC, ALCI, ALCQ, AQ, AtLeast, AtMost, And, Bottom, BoundsExceeded,
+    CONSISTENCY, CQ, Exists, Example, ExampleCollection, FULLCQ, Forall,
+    InputError, MODES, Name, Not, Ontology, Or, Role, Top, UCQ, UCQ_MODE,
+    abox, aq_query, check_concept, collection, cq, normalize_ontology,
+    ontology, signature_of, subconcepts, ucq,
 )
 from .flatfit import (
     FITTING_EXISTS, FitVerdict, NO_FITTING, UNKNOWN,
 )
 from .semantics import (
-    EntailmentBounds, check_consistency, entails_ground, entails_ucq_bounded,
+    EntailmentAnswer, EntailmentBounds, check_consistency, entails_ground,
+    entails_ucq_bounded,
 )
 
 LOGIC_NAMES = {"alc": ALC, "alci": ALCI, "alcq": ALCQ}
@@ -425,28 +426,15 @@ class RunReport:
         return self.verdict.outcome == FITTING_EXISTS
 
 
-def _check_compatible(o, logic):
-    for lhs, rhs in o.inclusions:
-        for c in (lhs, rhs):
-            for s in subconcepts(c):
-                if isinstance(s, (Exists, Forall, AtMost, AtLeast)) \
-                        and s.role.inverted and logic != ALCI:
-                    raise UnsupportedLogicError(
-                        "the ontology uses inverse roles, which the "
-                        "collection's logic lacks")
-                if isinstance(s, (AtMost, AtLeast)) and logic != ALCQ:
-                    raise UnsupportedLogicError(
-                        "the ontology uses number restrictions, which the "
-                        "collection's logic lacks")
-
-
 def verify_fit(o, e, bounds=None):
     """Check whether the ontology fits every example of the collection:
     positive queries must be entailed (positive ABoxes consistent, in
     consistency mode) and negative ones must not.  Query-fitting with unions
     of conjunctive queries uses bounded entailment, so individual results and
     the overall verdict may come out unknown."""
-    _check_compatible(o, e.logic)
+    for ci in o.inclusions:
+        for c in ci:
+            check_concept(c, e.logic)
     if bounds is None:
         bounds = EntailmentBounds()
     results = []
@@ -455,27 +443,26 @@ def verify_fit(o, e, bounds=None):
         want = ex.polarity == "positive"
         t0 = time.perf_counter()
         detail = ""
-        if e.mode == CONSISTENCY:
-            got = check_consistency(ex.abox, o, e.logic)
-            status = "pass" if got == want else "fail"
-        elif e.mode in (AQ, FULLCQ):
-            got = entails_ground(ex.abox, o, ex.query, e.logic)
-            status = "pass" if got == want else "fail"
-        else:
-            try:
-                answer = entails_ucq_bounded(ex.abox, o, ex.query, e.logic,
-                                             bounds)
-            except InputError as err:
-                answer = None
-                status = "unknown"
-                detail = str(err)
-            if answer is not None:
+        try:
+            if e.mode == CONSISTENCY:
+                got = check_consistency(ex.abox, o, e.logic)
+            elif e.mode in (AQ, FULLCQ):
+                got = entails_ground(ex.abox, o, ex.query, e.logic)
+            else:
+                try:
+                    answer = entails_ucq_bounded(ex.abox, o, ex.query,
+                                                 e.logic, bounds)
+                except InputError as err:
+                    answer = EntailmentAnswer("unknown", diagnostics=str(err))
+                got = answer.entailed
                 if answer.status == "unknown":
-                    status = "unknown"
-                    detail = answer.diagnostics
-                else:
-                    got = answer.status == "entailed"
-                    status = "pass" if got == want else "fail"
+                    got, detail = None, answer.diagnostics
+        except BoundsExceeded as exc:
+            got, detail = None, str(exc)
+        if got is None:
+            status = "unknown"
+        else:
+            status = "pass" if got == want else "fail"
         results.append(ExampleReport(ex, status, time.perf_counter() - t0,
                                      detail))
     failed = [i for i, r in enumerate(results) if r.status == "fail"]

@@ -3,11 +3,10 @@ bounded entailment oracles."""
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .core import (
-    ALC, ALCI, ALCQ, ABox, And, AtLeast, AtMost, Bottom, Exists,
-    Forall, InputError, Name, Not, Ontology, Or, Role, Top, UCQ,
+    ALC, ALCI, ALCQ, ABox, And, AtLeast, AtMost, Bottom, BoundsExceeded,
+    Exists, Forall, InputError, Name, Not, Ontology, Or, Role, Top, UCQ,
     UnsupportedLogicError, expand_abbreviations, signature_of, subconcepts,
 )
 from .homs import HomConstraints, TargetView, homomorphisms
@@ -231,26 +230,25 @@ def is_forest_model(i, a, logic):
 
 # --- type machinery -------------------------------------------------------
 
-def _prim(c):
-    return expand_abbreviations(c)
+# search nodes one type enumeration may visit; the largest build of the
+# benchmark corpora visits 1,331
+MAX_TYPE_NODES = 20000
 
 
 class TypeSystem:
     """Types over the existential subconcepts and concept names of an
-    ontology (plus extra tracked concepts/names), with witness-coherent
-    elimination."""
+    ontology, with witness-coherent elimination.  Names the ontology does
+    not mention constrain nothing, so no type tracks them."""
 
-    def __init__(self, o, logic, extra_concepts=(), extra_names=()):
+    def __init__(self, o, logic):
         if logic not in (ALC, ALCI):
             raise UnsupportedLogicError(f"type elimination supports {ALC} "
                                         f"and {ALCI} only")
         self.logic = logic
-        self.cis = [( _prim(l), _prim(r)) for l, r in
-                    sorted(o.inclusions, key=repr)]
-        tracked = [c for pair in self.cis for c in pair]
-        tracked += [_prim(c) for c in extra_concepts]
-        names, exists = set(extra_names), set()
-        for c in tracked:
+        self.cis = [(expand_abbreviations(l), expand_abbreviations(r))
+                    for l, r in sorted(o.inclusions, key=repr)]
+        names, exists = set(), set()
+        for c in (c for pair in self.cis for c in pair):
             for s in subconcepts(c):
                 if isinstance(s, Name):
                     names.add(s.name)
@@ -259,13 +257,22 @@ class TypeSystem:
                         raise UnsupportedLogicError("inverse role outside "
                                                     + ALCI)
                     exists.add(s)
-        self.name_atoms = sorted(names)
+        self.names = frozenset(names)
         self.exists_atoms = sorted(exists, key=repr)
+        self._parts = {}
         self.types = self._enumerate()
         self.survivors = self._eliminate(self.types)
         self._witness_cache = {}
 
     # types are frozensets of atoms; an atom is ('n', name) or ('e', Exists)
+    def parts(self, t):
+        """The concept names and the existential atoms of a type."""
+        if t not in self._parts:
+            self._parts[t] = (frozenset(a[1] for a in t if a[0] == "n"),
+                              tuple(e for e in self.exists_atoms
+                                    if ("e", e) in t))
+        return self._parts[t]
+
     def holds(self, c, t):
         if isinstance(c, Top):
             return True
@@ -300,10 +307,11 @@ class TypeSystem:
         raise TypeError(f"unexpected concept in reduced form: {c!r}")
 
     def _enumerate(self):
-        atoms = ([("n", n) for n in self.name_atoms]
+        atoms = ([("n", n) for n in sorted(self.names)]
                  + [("e", e) for e in self.exists_atoms])
         out = []
         partial = {}
+        nodes = 0
 
         def bad():
             for l, r in self.cis:
@@ -313,6 +321,10 @@ class TypeSystem:
             return False
 
         def go(k):
+            nonlocal nodes
+            nodes += 1
+            if nodes > MAX_TYPE_NODES:
+                raise BoundsExceeded("type enumeration cap")
             if k == len(atoms):
                 out.append(frozenset(a for a, v in partial.items() if v))
                 return
@@ -322,7 +334,8 @@ class TypeSystem:
                     go(k + 1)
             del partial[atoms[k]]
 
-        go(0)
+        if not bad():
+            go(0)
         return out
 
     def edge_ok(self, t_from, role, t_to):
@@ -362,73 +375,78 @@ class TypeSystem:
             pool = keep
         return pool
 
-    def allowed_types(self, asserted_names, extra):
-        """Surviving types for an element with the given asserted concept
-        names and complex constraints."""
-        out = []
-        for t in self.survivors:
-            if all(("n", n) in t for n in asserted_names) and \
-                    all(self.holds(_prim(c), t) for c in extra):
-                out.append(t)
-        return out
+    def allowed_types(self, asserted, absent=()):
+        """Surviving types for an element with the given asserted and absent
+        concept names; only the names the ontology mentions narrow them."""
+        asserted, absent = set(asserted), set(absent)
+        if asserted & absent:
+            return []
+        asserted &= self.names
+        return [t for t in self.survivors
+                if asserted <= self.parts(t)[0]
+                and not absent & self.parts(t)[0]]
 
-    def abox_assignment(self, a, extra=()):
-        """A coherent assignment of surviving types to the individuals of the
-        ABox, or None.  extra: iterable of (Concept, individual)."""
+    def assignments(self, a, absent=()):
+        """The coherent assignments of surviving types to the individuals of
+        the ABox, in the lexicographic order of their options (individuals
+        sorted).  absent: (name, individual) pairs the individual must lack."""
         inds = sorted(a.individuals)
-        constraints = {}
-        for c, x in extra:
-            constraints.setdefault(x, []).append(c)
         asserted = {x: set() for x in inds}
         for n, x in a.concept_assertions:
             asserted[x].add(n)
-        options = {x: self.allowed_types(asserted[x],
-                                         constraints.get(x, ()))
-                   for x in inds}
-        if any(not opts for opts in options.values()):
-            return None
+        excluded = {x: set() for x in inds}
+        for n, x in absent:
+            if x in excluded:
+                excluded[x].add(n)
+        options = [self.allowed_types(asserted[x], excluded[x]) for x in inds]
+        if not all(options):
+            return
+        links = {x: [] for x in inds}
+        for r, u, v in a.role_assertions:
+            links[u].append((Role(r), u, v))
+            if v != u:
+                links[v].append((Role(r), u, v))
         assignment = {}
 
         def ok(x, t):
-            for r, u, v in a.role_assertions:
-                if u == x and v in assignment:
-                    if not self.edge_ok(t, Role(r), assignment[v]):
-                        return False
-                if v == x and u in assignment:
-                    if not self.edge_ok(assignment[u], Role(r), t):
-                        return False
-                if u == x and v == x:
-                    if not self.edge_ok(t, Role(r), t):
-                        return False
+            for role, u, v in links[x]:
+                tu = t if u == x else assignment.get(u)
+                tv = t if v == x else assignment.get(v)
+                if tu is not None and tv is not None and \
+                        not self.edge_ok(tu, role, tv):
+                    return False
             return True
 
         def go(k):
             if k == len(inds):
-                return True
+                yield dict(assignment)
+                return
             x = inds[k]
-            for t in options[x]:
+            for t in options[k]:
                 if ok(x, t):
                     assignment[x] = t
-                    if go(k + 1):
-                        return True
+                    yield from go(k + 1)
                     del assignment[x]
-            return False
 
-        return dict(assignment) if go(0) else None
+        yield from go(0)
+
+    def abox_assignment(self, a, absent=()):
+        """The first coherent assignment of surviving types to the ABox's
+        individuals, or None."""
+        return next(self.assignments(a, absent), None)
 
 
 _TYPE_SYSTEM_CACHE = {}
 
 
-def type_system(o, logic, extra_concepts=(), extra_names=()):
+def type_system(o, logic):
     """Memoized TypeSystem factory; construction does the exponential type
     enumeration, so repeated oracle calls share it."""
-    key = (o, logic, tuple(extra_concepts), tuple(sorted(extra_names)))
+    key = (o, logic)
     if key not in _TYPE_SYSTEM_CACHE:
         if len(_TYPE_SYSTEM_CACHE) > 512:
             _TYPE_SYSTEM_CACHE.clear()
-        _TYPE_SYSTEM_CACHE[key] = TypeSystem(o, logic, extra_concepts,
-                                             extra_names)
+        _TYPE_SYSTEM_CACHE[key] = TypeSystem(o, logic)
     return _TYPE_SYSTEM_CACHE[key]
 
 
@@ -481,22 +499,20 @@ def _check_consistency_alcq(a, o):
     return any(attempt(bits) for bits in range(1 << len(optional)))
 
 
-def check_consistency(a, o, logic, extra=()):
-    """Whether the ABox and ontology have a common model.  extra: internal
-    complex-concept assertions as (Concept, individual) pairs."""
+def check_consistency(a, o, logic, absent=()):
+    """Whether the ABox and ontology have a common model, in which no
+    (name, individual) pair of absent holds."""
     if logic == ALCQ:
-        if extra:
-            raise UnsupportedLogicError("complex assertions unsupported "
-                                        "under ALCQ")
+        if absent:
+            raise UnsupportedLogicError("absent names unsupported under "
+                                        "ALCQ")
         return _check_consistency_alcq(a, o)
-    ts = type_system(o, logic,
-                     extra_concepts=tuple(c for c, _ in extra),
-                     extra_names=tuple(n for n, _ in a.concept_assertions))
+    ts = type_system(o, logic)
     if not a.individuals:
-        if extra:
-            raise InputError("complex assertion on an empty ABox")
+        if absent:
+            raise InputError("absent name on an empty ABox")
         return bool(ts.survivors)
-    return ts.abox_assignment(a, extra) is not None
+    return ts.abox_assignment(a, absent) is not None
 
 
 def entails_ground(a, o, q, logic=ALCI):
@@ -512,8 +528,8 @@ def entails_ground(a, o, q, logic=ALCI):
     for atom in d.role_atoms:
         if atom not in a.role_assertions:
             return False
-    for n, x in d.concept_atoms:
-        if check_consistency(a, o, logic, extra=[(Not(Name(n)), x)]):
+    for atom in d.concept_atoms:
+        if check_consistency(a, o, logic, absent=[atom]):
             return False
     return True
 
@@ -548,31 +564,27 @@ class EntailmentAnswer:
         return self.status == "entailed"
 
 
+def _labels(a, types, ts):
+    """The ABox's concept assertions and the names in each element's type."""
+    return set(a.concept_assertions) | {
+        (n, e) for e, t in types.items() for n in ts.parts(t)[0]}
+
+
 def _candidate_interpretation(a, types, ts, edges):
-    labels = set()
-    for e, t in types.items():
-        for atom in t:
-            if atom[0] == "n":
-                labels.add((atom[1], e))
     names = {(x, x) for x in a.individuals}
-    return interp(set(types), labels, edges, names)
+    return interp(set(types), _labels(a, types, ts), edges, names)
 
 
 def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
     """Three-valued entailment of a union of conjunctive queries: searches
     tree-extended countermodels up to the depth bound (claiming entailment
     only when every candidate already satisfies the query)."""
-    sig = signature_of(o) | signature_of(a) | signature_of(q)
-    q_names = sorted(sig.concept_names)
-    ts = type_system(o, logic, extra_names=tuple(q_names))
     if not a.individuals:
         raise InputError("bounded entailment requires a non-empty ABox")
-
-    asserted = {x: set() for x in a.individuals}
-    for n, x in a.concept_assertions:
-        asserted[x].add(n)
-    options = {x: ts.allowed_types(asserted[x], ())
-               for x in sorted(a.individuals)}
+    try:
+        ts = type_system(o, logic)
+    except BoundsExceeded as exc:
+        return EntailmentAnswer("unknown", diagnostics=str(exc))
     inds = sorted(a.individuals)
 
     state = {"count": 0, "capped": False, "inconclusive": False}
@@ -604,13 +616,6 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
                       key=lambda item: 0 if item[1].role.name in query_roles
                       else 1)
 
-    def assignments():
-        for combo in product(*(options[x] for x in inds)):
-            tau = dict(zip(inds, combo))
-            if all(ts.edge_ok(tau[u], Role(r), tau[v])
-                   for r, u, v in a.role_assertions):
-                yield tau
-
     def witnessed(elem, e_atom, types, edges):
         for r, x, y in edges:
             if e_atom.role.inverted:
@@ -636,9 +641,8 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
             node = ("c", len(realizer))
             realizer[t] = node
             types[node] = t
-            for e_atom in ts.exists_atoms:
-                if ("e", e_atom) in t:
-                    attach(node, t, e_atom)
+            for e_atom in ts.parts(t)[1]:
+                attach(node, t, e_atom)
             return node
 
         def attach(elem, t, e_atom):
@@ -650,9 +654,8 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
                 edges.add((e_atom.role.name, elem, other))
 
         for elem, t in list(types.items()):
-            for e_atom in ts.exists_atoms:
-                if ("e", e_atom) in t and \
-                        not witnessed(elem, e_atom, types, edges):
+            for e_atom in ts.parts(t)[1]:
+                if not witnessed(elem, e_atom, types, edges):
                     attach(elem, t, e_atom)
         return _candidate_interpretation(a, types, ts, edges)
 
@@ -681,15 +684,6 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
                     return True
         return False
 
-    split = {}
-
-    def parts(t):
-        """The concept names and the existential atoms of a type."""
-        if t not in split:
-            split[t] = (frozenset(atom[1] for atom in t if atom[0] == "n"),
-                        [e for e in ts.exists_atoms if ("e", e) in t])
-        return split[t]
-
     def explore(view, types, edges, depths, queue, counter, added=None):
         """DFS over witness choices; returns a countermodel or None.  The
         view holds this node's candidate: its parent's plus the element
@@ -707,7 +701,8 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
                 return None
         else:
             element, edge = added
-            if matches_through(view, element, edge, parts(types[element])[0]):
+            if matches_through(view, element, edge,
+                               ts.parts(types[element])[0]):
                 return None
         pending = []
         while queue:
@@ -733,7 +728,7 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
                 new_edges = edges | {edge}
                 new_depths = dict(depths)
                 new_depths[child] = depths[elem] + 1
-                names, obligations = parts(t2)
+                names, obligations = ts.parts(t2)
                 new_queue = prioritize(
                     queue[1:] + [(child, e2) for e2 in obligations] + pending)
                 view.push(child, names, (edge,))
@@ -759,13 +754,12 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
         return None
 
     saw_assignment = False
-    for tau in assignments():
+    for tau in ts.assignments(a):
         saw_assignment = True
         edges = set(a.role_assertions)
         depths = {x: 0 for x in inds}
-        queue = prioritize([(x, e) for x in inds for e in parts(tau[x])[1]])
-        view = TargetView(inds, {(n, x) for x in inds
-                                 for n in parts(tau[x])[0]}, edges)
+        queue = prioritize([(x, e) for x in inds for e in ts.parts(tau[x])[1]])
+        view = TargetView(inds, _labels(a, tau, ts), edges)
         cm = explore(view, dict(tau), edges, depths, queue, 0)
         if cm is not None:
             return EntailmentAnswer("not-entailed", cm)

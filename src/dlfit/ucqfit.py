@@ -7,8 +7,8 @@ from functools import cached_property
 from itertools import product
 
 from .core import (
-    ALC, ALCI, And, Bottom, BOTTOM_ONTOLOGY, CQ, Exists, InputError, Name,
-    Not, Ontology, PARTITION_PREFIX, Role, Top, UCQ_MODE,
+    ALC, ALCI, And, Bottom, BOTTOM_ONTOLOGY, BoundsExceeded, CQ, Exists,
+    InputError, Name, Not, Ontology, PARTITION_PREFIX, Role, Top, UCQ_MODE,
     preprocess_collection, signature_of, size_of,
 )
 from .flatfit import (
@@ -20,11 +20,6 @@ from .semantics import (
     Interpretation, TreeInterpretation, evaluate_query, interp,
     is_forest_model, is_model,
 )
-
-
-class BoundsExceeded(Exception):
-    """A configured resource cap was hit; callers surface this as an
-    unknown verdict."""
 
 
 @dataclass(frozen=True)

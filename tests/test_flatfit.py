@@ -2,13 +2,14 @@
 
 import pytest
 
+from dlfit import semantics
 from dlfit.core import (
     ALC, ALCI, ALCQ, AQ, BOTTOM_ONTOLOGY, CONSISTENCY, Example, FULLCQ,
     Forall, InputError, Name, Not, Role, Top, abox, aq_query, collection, cq,
     ontology, signature_of, ucq,
 )
 from dlfit.flatfit import (
-    CONSISTENT, Completion, FITTING_EXISTS, INCONSISTENT, NO_FITTING,
+    CONSISTENT, Completion, FITTING_EXISTS, INCONSISTENT, NO_FITTING, UNKNOWN,
     classify_example, decide_alcq_fitting, decide_aq_fitting,
     decide_consistency_fitting, decide_fullcq_fitting, disjoint_negatives,
     disjoint_union, normalize_negatives, saturate_refutation_candidate,
@@ -228,6 +229,24 @@ def test_fullcq_fitting_positive_case_verifies():
     o = verdict.ontology
     assert entails_ground(pos.abox, o, pos.query.disjuncts[0], ALC)
     assert not entails_ground(neg.abox, o, neg.query.disjuncts[0], ALC)
+
+
+def test_reverification_at_the_type_enumeration_cap_is_unknown(monkeypatch):
+    # with no enumeration budget every type system build hits the cap, so
+    # the re-verification of a synthesized ontology cannot finish
+    monkeypatch.setattr(semantics, "MAX_TYPE_NODES", 0)
+    monkeypatch.setattr(semantics, "_TYPE_SYSTEM_CACHE", {})
+    pos = Example(abox(concepts=[("A", "a")], roles=[("r", "a", "b")]),
+                  ucq(cq(concepts=[("B", "b")], roles=[("r", "a", "b")])))
+    neg = Example(abox(concepts=[("A", "c")]),
+                  ucq(cq(concepts=[("B", "c")])), "negative")
+    for decide, e in (
+            (decide_fullcq_fitting, collection([pos], [neg], FULLCQ, ALC)),
+            (decide_aq_fitting,
+             aq_saturation_collection(drop=("negative", 0)))):
+        verdict = decide(e)
+        assert verdict.outcome == UNKNOWN and verdict.ontology is None
+        assert verdict.diagnostics == "type enumeration cap"
 
 
 def test_fullcq_fitting_refuted_by_contained_negative_query():

@@ -4,11 +4,14 @@ import pathlib
 
 import pytest
 
+from dlfit import cli, semantics
 from dlfit.core import (
-    ALC, ALCI, ALCQ, AtLeast, Exists, InputError, Name, Role, abox, cq,
-    normalize_ontology, ontology, preprocess_collection, ucq,
+    ALC, ALCI, ALCQ, AQ, AtLeast, AtMost, Example, Exists, InputError, Name,
+    Role, Top, abox, aq_query, collection, cq, normalize_ontology, ontology,
+    preprocess_collection, ucq,
 )
-from dlfit.cli import main
+from dlfit.cli import EXIT_INTERNAL, main
+from dlfit.flatfit import InternalVerificationError
 from dlfit.harness import (
     FIXTURE_COLLECTIONS, MAX_CONCEPT_DEPTH, fixture_ontologies,
     generate_from_entailment, bibliography_collection,
@@ -143,6 +146,24 @@ def test_verify_fit_rejects_incompatible_logic():
     o = ontology([(Name("A"), Exists(Role("r", True), Name("B")))], ALCI)
     with pytest.raises(InputError):
         verify_fit(o, e)  # collection logic is ALC
+    counting = ontology([(Name("A"), AtMost(1, Role("r"), Top()))], ALCQ)
+    with pytest.raises(InputError):
+        verify_fit(counting, e)
+
+
+def test_verify_fit_builds_one_type_system_per_ontology(monkeypatch):
+    # the examples use different names, none of them in the ontology, yet
+    # every check shares one type system
+    monkeypatch.setattr(semantics, "_TYPE_SYSTEM_CACHE", {})
+    o = ontology([(Name("A"), Name("B"))], ALC)
+    e = collection(
+        [Example(abox(concepts=[("A", "a"), ("C", "a")]), aq_query("B", "a")),
+         Example(abox(concepts=[("D", "b")]), aq_query("D", "b"))],
+        [Example(abox(concepts=[("E", "c")]), aq_query("B", "c"),
+                 "negative")],
+        AQ, ALC)
+    assert verify_fit(o, e).fits
+    assert list(semantics._TYPE_SYSTEM_CACHE) == [(o, ALC)]
 
 
 def tiny_entailment_instance():
@@ -225,6 +246,47 @@ def test_cli_verify(capsys):
     out = capsys.readouterr().out
     assert "verdict: does-not-fit" in out
     assert "example 4 (negative): fail" in out
+
+
+def test_cli_verify_against_the_inconsistent_ontology(tmp_path, capsys):
+    # top sub bot makes every ABox inconsistent, even one with no concept
+    # names, so it fits a lone negative consistency example
+    ex = tmp_path / "loop.ex"
+    ex.write_text("mode: consistency\nlogic: alc\n\n"
+                  "negative {\n  abox: r(b,b)\n}\n")
+    assert main(["verify", "--ontology", str(FIXTURES / "bib_bottom.dl"),
+                 str(ex)]) == 0
+    assert "verdict: fits" in capsys.readouterr().out
+
+
+def test_cli_type_enumeration_cap_is_unknown(tmp_path, capsys):
+    # 199 nested existentials: under the nesting cap, but 2^201 candidate
+    # types
+    deep = tmp_path / "deep.dl"
+    deep.write_text("A sub " + "exists r . " * 199 + "B\n")
+    assert main(["verify", "--ontology", str(deep),
+                 str(FIXTURES / "edge_loop.ex")]) == 2
+    out = capsys.readouterr().out
+    assert "example 1 (positive): unknown (type enumeration cap)" in out
+    assert "verdict: unknown" in out
+    ab = tmp_path / "a.abox"
+    ab.write_text("A(a)")
+    assert main(["entail", "--abox", str(ab), "--ontology", str(deep),
+                 "--query", "B(a)"]) == 2
+    assert capsys.readouterr().out.strip() == "unknown"
+
+
+def test_cli_internal_error_exits_4(monkeypatch, capsys):
+    def broken(e):
+        raise InternalVerificationError("synthesized ontology fails")
+
+    monkeypatch.setattr(cli, "decide_consistency_fitting", broken)
+    assert main(["fit", str(FIXTURES / "edge_loop.ex")]) == EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert "verdict" not in captured.out
+    assert "Traceback" in captured.err
+    assert "InternalVerificationError: synthesized ontology fails" \
+        in captured.err
 
 
 def test_cli_entail(tmp_path, capsys):

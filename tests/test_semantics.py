@@ -1,14 +1,17 @@
 """Model checking, consistency, and entailment oracles."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlfit.core import (
-    ALC, ALCI, ALCQ, And, AtLeast, AtMost, Bottom, Exists, Forall,
-    InputError, Name, Not, Or, Role, Top, abox, cq, ontology, ucq,
+    ALC, ALCI, ALCQ, And, AtLeast, AtMost, BOTTOM_ONTOLOGY, Bottom,
+    BoundsExceeded, Exists, Forall, InputError, Name, Not, Or, Role, Top,
+    abox, cq, ontology, ucq,
 )
 from dlfit.semantics import (
-    TreeInterpretation, abox_interpretation, check_consistency,
+    TreeInterpretation, TypeSystem, abox_interpretation, check_consistency,
     entails_ground, entails_ucq_bounded, evaluate_query, extension,
     find_finite_countermodel, interp, is_forest_model, is_model,
 )
@@ -124,6 +127,89 @@ def test_check_consistency_needs_type_elimination():
     assert check_consistency(abox(concepts=[("A", "a")]), o2, ALC)
 
 
+def test_check_consistency_with_no_atoms_checks_the_inclusions():
+    # top sub bot tracks no atom, so the only candidate type is the empty
+    # one, which the inclusion must still reject
+    assert not check_consistency(abox(), BOTTOM_ONTOLOGY, ALC)
+    assert not check_consistency(abox(roles=[("r", "a", "b")]),
+                                 BOTTOM_ONTOLOGY, ALC)
+    assert check_consistency(abox(roles=[("r", "a", "b")]), ontology([], ALC),
+                             ALC)
+
+
+def test_check_consistency_absent_names():
+    o = ontology([(Name("A"), Name("B"))], ALC)
+    a = abox(concepts=[("A", "a"), ("C", "a")], roles=[("r", "a", "b")])
+    assert not check_consistency(a, o, ALC, absent=[("B", "a")])
+    assert check_consistency(a, o, ALC, absent=[("B", "b")])
+    # C and D are names the ontology does not mention: an asserted one
+    # cannot be absent, an unasserted one can
+    assert not check_consistency(a, o, ALC, absent=[("C", "a")])
+    assert check_consistency(a, o, ALC, absent=[("D", "a"), ("C", "b")])
+    with pytest.raises(InputError):
+        check_consistency(abox(), o, ALC, absent=[("B", "a")])
+
+
+def test_type_enumeration_is_capped():
+    # 199 nested existentials, each free: 2^201 types before the cap
+    deep = Name("B")
+    for _ in range(199):
+        deep = Exists(R, deep)
+    o = ontology([(Name("A"), deep)], ALC)
+    with pytest.raises(BoundsExceeded, match="type enumeration cap"):
+        TypeSystem(o, ALC)
+    with pytest.raises(BoundsExceeded, match="type enumeration cap"):
+        check_consistency(abox(concepts=[("A", "a")]), o, ALC)
+    ans = entails_ucq_bounded(abox(concepts=[("A", "a")]), o,
+                              ucq(cq(concepts=[("B", "a")])), ALC)
+    assert ans.status == "unknown"
+    assert ans.diagnostics == "type enumeration cap"
+
+
+def small_alc_concepts():
+    base = st.one_of(st.just(Top()),
+                     st.builds(Name, st.sampled_from(["A", "B"])))
+    return st.recursive(
+        base, lambda inner: st.one_of(st.builds(Not, inner),
+                                      st.builds(And, inner, inner),
+                                      st.builds(Exists, st.just(R), inner)),
+        max_leaves=3)
+
+
+def product_assignments(ts, a, absent):
+    """Every choice of allowed types for the individuals, in product order,
+    kept when each role assertion is a permitted edge."""
+    inds = sorted(a.individuals)
+    options = [ts.allowed_types({n for n, y in a.concept_assertions
+                                 if y == x},
+                                {n for n, y in absent if y == x})
+               for x in inds]
+    out = []
+    for combo in product(*options):
+        tau = dict(zip(inds, combo))
+        if all(ts.edge_ok(tau[u], Role(r), tau[v])
+               for r, u, v in a.role_assertions):
+            out.append(tau)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(small_alc_concepts(), small_alc_concepts()),
+                max_size=2),
+       st.sets(st.tuples(st.sampled_from("ABC"), st.sampled_from("xyz")),
+               min_size=1, max_size=3),
+       st.sets(st.tuples(st.just("r"), st.sampled_from("xyz"),
+                         st.sampled_from("xyz")), max_size=3),
+       st.sets(st.tuples(st.sampled_from("ABC"), st.sampled_from("xyz")),
+               max_size=2))
+def test_assignments_match_the_filtered_product(cis, cs, rs, absent):
+    ts = TypeSystem(ontology(cis, ALC), ALC)
+    a = abox(concepts=cs, roles=rs)
+    want = product_assignments(ts, a, absent)
+    assert list(ts.assignments(a, absent)) == want
+    assert ts.abox_assignment(a, absent) == (want[0] if want else None)
+
+
 def test_check_consistency_alcq():
     o = ontology([(Top(), AtMost(1, R, Top()))], ALCQ)
     assert check_consistency(abox(roles=[("r", "a", "b")]), o, ALCQ)
@@ -216,6 +302,12 @@ def test_entails_ground_basics():
     assert entails_ground(a, bot, cq(roles=[("r", "a", "a")]), ALC)
     with pytest.raises(InputError):
         entails_ground(a, o, cq(concepts=[("B", "x")], variables=["x"]), ALC)
+    # C and D are names the ontology does not mention: only the asserted
+    # C(a) is entailed
+    a2 = abox(concepts=[("A", "a"), ("C", "a")], roles=[("r", "a", "b")])
+    assert entails_ground(a2, o, cq(concepts=[("C", "a"), ("B", "a")]), ALC)
+    assert not entails_ground(a2, o, cq(concepts=[("D", "a")]), ALC)
+    assert not entails_ground(a2, o, cq(concepts=[("C", "b")]), ALC)
 
 
 def test_evaluate_query_anchors_individuals():
@@ -236,6 +328,27 @@ def test_entails_ucq_bounded_with_existential_witness():
     cm = ans.countermodel
     assert is_model(cm, o) and is_model(cm, a)
     assert not evaluate_query(cm, q2)
+
+
+def test_entails_ucq_bounded_names_outside_the_ontology():
+    # C is asserted on a and D nowhere; the ontology mentions neither, so
+    # only a can be in C and nothing need be in D
+    o = ontology([(Name("A"), Exists(R, Name("B")))], ALC)
+    a = abox(concepts=[("A", "a"), ("C", "a")])
+    for q in (cq(concepts=[("C", "a")]),
+              cq(concepts=[("C", "x")], variables=["x"]),
+              cq(concepts=[("C", "x"), ("B", "y")], roles=[("r", "x", "y")],
+                 variables=["x", "y"])):
+        assert entails_ucq_bounded(a, o, ucq(q), ALC).status == "entailed"
+    for q in (cq(concepts=[("D", "a")]),
+              cq(concepts=[("D", "x")], variables=["x"]),
+              cq(concepts=[("C", "y")], roles=[("r", "a", "y")],
+                 variables=["y"])):
+        ans = entails_ucq_bounded(a, o, ucq(q), ALC)
+        assert ans.status == "not-entailed"
+        cm = ans.countermodel
+        assert is_model(cm, o) and is_model(cm, a)
+        assert not evaluate_query(cm, ucq(q))
 
 
 def test_entails_ucq_bounded_countermodels_are_genuine():
