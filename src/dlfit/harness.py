@@ -748,13 +748,3 @@ def fixture_ontologies():
         "o_b2": ontology([(Top(), Name("B2"))], ALC),
     }
 
-
-def write_fixtures(directory):
-    """Serialize the bundled fixtures into a directory (created if absent)."""
-    import pathlib
-    path = pathlib.Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    for name, build in sorted(FIXTURE_COLLECTIONS.items()):
-        (path / f"{name}.ex").write_text(serialize_collection(build()))
-    for name, o in sorted(fixture_ontologies().items()):
-        (path / f"{name}.dl").write_text(serialize_ontology(o))

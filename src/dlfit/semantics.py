@@ -6,7 +6,7 @@ from functools import cached_property
 
 from .core import (
     ALC, ALCI, ALCQ, ABox, And, AtLeast, AtMost, Bottom, BoundsExceeded,
-    Exists, Forall, InputError, Name, Not, Ontology, Or, Role, Top, UCQ,
+    Exists, Forall, InputError, Name, Not, Ontology, Or, Top, UCQ,
     UnsupportedLogicError, expand_abbreviations, signature_of, subconcepts,
 )
 from .homs import HomConstraints, TargetView, homomorphisms
@@ -233,12 +233,16 @@ def is_forest_model(i, a, logic):
 # search nodes one type enumeration may visit; the largest build of the
 # benchmark corpora visits 1,331
 MAX_TYPE_NODES = 20000
+# witness-class pairs one type elimination may test; the cycle ontology
+# {Ai sub exists r . A(i+1 mod k)} tests 65,536 at k = 8
+MAX_ELIMINATION_STEPS = 500000
 
 
 class TypeSystem:
     """Types over the existential subconcepts and concept names of an
     ontology, with witness-coherent elimination.  Names the ontology does
-    not mention constrain nothing, so no type tracks them."""
+    not mention constrain nothing, so no type tracks them.  A type is an
+    int with one bit per atom: the sorted names, then `exists_atoms`."""
 
     def __init__(self, o, logic):
         if logic not in (ALC, ALCI):
@@ -259,121 +263,146 @@ class TypeSystem:
                     exists.add(s)
         self.names = frozenset(names)
         self.exists_atoms = sorted(exists, key=repr)
-        self._parts = {}
-        self.types = self._enumerate()
-        self.survivors = self._eliminate(self.types)
-        self._witness_cache = {}
+        atoms = sorted(names) + self.exists_atoms
+        self._bit = {a: 1 << i for i, a in enumerate(atoms)}
+        self._exists_bits = [(e, self._bit[e]) for e in self.exists_atoms]
+        # per role name, the bits of its forward and of its inverse atoms
+        self._roles = {}
+        for e, b in self._exists_bits:
+            self._roles.setdefault(e.role.name, [0, 0])[e.role.inverted] |= b
+        self.types = self._enumerate(len(atoms))
+        # per type, the existential atoms whose argument it satisfies
+        args = [(self._truth(e.arg), b) for e, b in self._exists_bits]
+        self._sat = {t: sum(b for f, b in args if f(-1, t))
+                     for t in self.types}
+        self.survivors = self._eliminate()
 
-    # types are frozensets of atoms; an atom is ('n', name) or ('e', Exists)
+    def _truth(self, c):
+        """c, in reduced form, as a function of (known, val): whether c holds
+        when the atoms in known (-1: all) are decided, val's true, or None."""
+        if isinstance(c, Top):
+            return lambda known, val: True
+        if isinstance(c, Not):
+            f = self._truth(c.arg)
+            return lambda known, val: (None if (v := f(known, val)) is None
+                                       else not v)
+        if isinstance(c, And):
+            f, g = self._truth(c.left), self._truth(c.right)
+
+            def both(known, val):
+                v, w = f(known, val), g(known, val)
+                return False if v is False or w is False else (v and w) or None
+            return both
+        b = self._bit[c.name if isinstance(c, Name) else c]
+        return lambda known, val: bool(val & b) if known & b else None
+
     def parts(self, t):
         """The concept names and the existential atoms of a type."""
-        if t not in self._parts:
-            self._parts[t] = (frozenset(a[1] for a in t if a[0] == "n"),
-                              tuple(e for e in self.exists_atoms
-                                    if ("e", e) in t))
-        return self._parts[t]
+        return (frozenset(n for n in self.names if t & self._bit[n]),
+                tuple(e for e, b in self._exists_bits if t & b))
 
     def holds(self, c, t):
-        if isinstance(c, Top):
-            return True
-        if isinstance(c, Name):
-            return ("n", c.name) in t
-        if isinstance(c, Not):
-            return not self.holds(c.arg, t)
-        if isinstance(c, And):
-            return self.holds(c.left, t) and self.holds(c.right, t)
-        if isinstance(c, Exists):
-            return ("e", c) in t
-        raise TypeError(f"unexpected concept in reduced form: {c!r}")
+        return self._truth(c)(-1, t)
 
-    def _holds3(self, c, partial):
-        if isinstance(c, Top):
-            return True
-        if isinstance(c, Name):
-            return partial.get(("n", c.name))
-        if isinstance(c, Not):
-            v = self._holds3(c.arg, partial)
-            return None if v is None else not v
-        if isinstance(c, And):
-            l = self._holds3(c.left, partial)
-            r = self._holds3(c.right, partial)
-            if l is False or r is False:
-                return False
-            if l is True and r is True:
-                return True
-            return None
-        if isinstance(c, Exists):
-            return partial.get(("e", c))
-        raise TypeError(f"unexpected concept in reduced form: {c!r}")
-
-    def _enumerate(self):
-        atoms = ([("n", n) for n in sorted(self.names)]
-                 + [("e", e) for e in self.exists_atoms])
+    def _enumerate(self, n):
+        # an inclusion l sub r is violated where l and not r is true
+        rules = [self._truth(And(l, Not(r))) for l, r in self.cis]
         out = []
-        partial = {}
         nodes = 0
 
-        def bad():
-            for l, r in self.cis:
-                if (self._holds3(l, partial) is True
-                        and self._holds3(r, partial) is False):
-                    return True
-            return False
-
-        def go(k):
+        def go(k, known, val):
             nonlocal nodes
+            if any(f(known, val) for f in rules):
+                return
             nodes += 1
             if nodes > MAX_TYPE_NODES:
                 raise BoundsExceeded("type enumeration cap")
-            if k == len(atoms):
-                out.append(frozenset(a for a, v in partial.items() if v))
+            if k == n:
+                out.append(val)
                 return
-            for v in (False, True):
-                partial[atoms[k]] = v
-                if not bad():
-                    go(k + 1)
-            del partial[atoms[k]]
+            for v in (val, val | 1 << k):
+                go(k + 1, known | 1 << k, v)
 
-        if not bad():
-            go(0)
+        go(0, 0, 0)
         return out
 
-    def edge_ok(self, t_from, role, t_to):
-        """Whether an edge in the given role may connect elements of the two
-        types without violating any absent existential atom."""
-        for e in self.exists_atoms:
-            if e.role == role and ("e", e) not in t_from:
-                if self.holds(e.arg, t_to):
-                    return False
-            if e.role == role.inverse() and ("e", e) not in t_to:
-                if self.holds(e.arg, t_from):
-                    return False
-        return True
+    def _ends(self, t, r):
+        """t's masks at the source (side 0) and the target (side 1) of an
+        r-edge: the forward atoms it lacks and the inverse ones it satisfies
+        the argument of, then the reverse.  x r y is allowed iff disjoint."""
+        fwd, bwd = self._roles[r]
+        sat = self._sat[t]
+        return fwd & ~t | bwd & sat, fwd & sat | bwd & ~t
 
-    def witnesses(self, t, e, pool):
-        return [t2 for t2 in pool
-                if self.edge_ok(t, e.role, t2) and self.holds(e.arg, t2)]
+    def edge_ok(self, t_from, r, t_to):
+        """Whether an r-edge may lead from an element of type t_from to one
+        of type t_to without violating any absent existential atom."""
+        fwd, bwd = self._roles.get(r, (0, 0))
+        return not (fwd & self._sat[t_to] & ~t_from
+                    or bwd & self._sat[t_from] & ~t_to)
 
     def survivor_witnesses(self, t, e):
-        key = (t, e)
-        if key not in self._witness_cache:
-            self._witness_cache[key] = self.witnesses(t, e, self.survivors)
-        return self._witness_cache[key]
+        """The surviving types that may realize the existential atom e of
+        type t, in survivor order."""
+        b, r, side = self._bit[e], e.role.name, e.role.inverted
+        key = self._ends(t, r)[side]
+        return [w for w in self.survivors if self._sat[w] & b
+                and not key & self._ends(w, r)[1 - side]]
 
-    def _eliminate(self, types):
-        pool = list(types)
-        changed = True
-        while changed:
-            changed = False
-            keep = []
-            for t in pool:
-                if all(self.witnesses(t, e, pool)
-                       for e in self.exists_atoms if ("e", e) in t):
-                    keep.append(t)
-                else:
-                    changed = True
-            pool = keep
-        return pool
+    def _eliminate(self):
+        """The greatest witness-coherent set of types, in enumeration order.
+        A forward atom of role k needs a witness at side 1 of an edge, an
+        inverse one at side 0; types with one `_ends` mask at a side are
+        interchangeable there, so support[k, side, key, b] counts the live
+        classes at the other side that realize b and are disjoint from key."""
+        types, roles = self.types, list(self._roles.values())
+        ends = [[self._ends(t, r) for r in self._roles] for t in types]
+        bits = [[[b for _, b in self._exists_bits if b & m] for m in masks]
+                for masks in roles]
+        classes = [({}, {}) for _ in roles]  # per role, per side: key -> types
+        for i, row in enumerate(ends):
+            for k, masks in enumerate(row):
+                for side in (0, 1):
+                    classes[k][side].setdefault(masks[side], []).append(i)
+        live = {(k, side, key): len(m) for k, pair in enumerate(classes)
+                for side in (0, 1) for key, m in pair[side].items()}
+        support, alive, queue, steps = {}, [True] * len(types), [], 0
+
+        def tally(k, side, witnesses, delta):
+            nonlocal steps
+            for key, members in classes[k][side].items():
+                for w in witnesses:
+                    steps += 1
+                    if steps > MAX_ELIMINATION_STEPS:
+                        raise BoundsExceeded("type elimination cap")
+                    for b in (() if key & w else bits[k][side]):
+                        if w & b:
+                            n = support.get((k, side, key, b), 0) + delta
+                            support[k, side, key, b] = n
+                            for i in (() if n else members):
+                                if alive[i] and types[i] & b:
+                                    alive[i] = False
+                                    queue.append(i)
+
+        for k in range(len(roles)):
+            for side in (0, 1):
+                if roles[k][side]:
+                    tally(k, side, classes[k][1 - side], 1)
+        for i, t in enumerate(types):
+            if any(t & b and (k, side, ends[i][k][side], b) not in support
+                   for k in range(len(roles)) for side in (0, 1)
+                   for b in bits[k][side]):
+                alive[i] = False
+                queue.append(i)
+        while queue:
+            i = queue.pop()
+            for k, masks in enumerate(ends[i]):
+                for side in (0, 1):
+                    w = masks[1 - side]
+                    live[k, 1 - side, w] -= 1
+                    if not live[k, 1 - side, w] and w & roles[k][side]:
+                        tally(k, side, (w,), -1)
+        return [t for t, ok in zip(types, alive) if ok]
 
     def allowed_types(self, asserted, absent=()):
         """Surviving types for an element with the given asserted and absent
@@ -381,10 +410,9 @@ class TypeSystem:
         asserted, absent = set(asserted), set(absent)
         if asserted & absent:
             return []
-        asserted &= self.names
-        return [t for t in self.survivors
-                if asserted <= self.parts(t)[0]
-                and not absent & self.parts(t)[0]]
+        need = sum(self._bit[n] for n in asserted & self.names)
+        ban = sum(self._bit[n] for n in absent & self.names)
+        return [t for t in self.survivors if t & need == need and not t & ban]
 
     def assignments(self, a, absent=()):
         """The coherent assignments of surviving types to the individuals of
@@ -398,24 +426,37 @@ class TypeSystem:
         for n, x in absent:
             if x in excluded:
                 excluded[x].add(n)
-        options = [self.allowed_types(asserted[x], excluded[x]) for x in inds]
+        domain = {x: self.allowed_types(asserted[x], excluded[x])
+                  for x in inds}
+        # arcs[x]: (r, side, y) when x is at that side of an r-edge to y; a
+        # role the ontology does not mention constrains nothing
+        arcs = {x: [] for x in inds}
+        for r, u, v in a.role_assertions:
+            if r in self._roles and u == v:
+                domain[u] = [t for t in domain[u] if self.edge_ok(t, r, t)]
+            elif r in self._roles:
+                arcs[u].append((r, 0, v))
+                arcs[v].append((r, 1, u))
+        # AC-3: drop x's types fitting no neighbour's type; requeue arcs into x
+        work = {(x, arc) for x in inds for arc in arcs[x]}
+        while work:
+            x, (r, side, y) = work.pop()
+            fits = {self._ends(t, r)[1 - side] for t in domain[y]}
+            kept = [t for t in domain[x]
+                    if any(not self._ends(t, r)[side] & m for m in fits)]
+            if len(kept) < len(domain[x]):
+                domain[x] = kept
+                work |= {(z, (r2, 1 - side2, x)) for r2, side2, z in arcs[x]}
+        options = [domain[x] for x in inds]
         if not all(options):
             return
-        links = {x: [] for x in inds}
-        for r, u, v in a.role_assertions:
-            links[u].append((Role(r), u, v))
-            if v != u:
-                links[v].append((Role(r), u, v))
         assignment = {}
 
         def ok(x, t):
-            for role, u, v in links[x]:
-                tu = t if u == x else assignment.get(u)
-                tv = t if v == x else assignment.get(v)
-                if tu is not None and tv is not None and \
-                        not self.edge_ok(tu, role, tv):
-                    return False
-            return True
+            return not any(y in assignment and not (
+                self.edge_ok(t, r, assignment[y]) if side == 0
+                else self.edge_ok(assignment[y], r, t))
+                for r, side, y in arcs[x])
 
         def go(k):
             if k == len(inds):
@@ -476,6 +517,10 @@ def _alcq_substructure_safe(o):
                for l, r in o.inclusions)
 
 
+# labelings one ALCQ consistency check may try; acceptance 09 tries 74
+MAX_ALCQ_LABELINGS = 20000
+
+
 def _check_consistency_alcq(a, o):
     if not _alcq_substructure_safe(o):
         raise UnsupportedLogicError(
@@ -496,7 +541,12 @@ def _check_consistency_alcq(a, o):
                    {(e, e) for e in elements} if a.individuals else ())
         return is_model(i, o) and (not a.individuals or is_model(i, a))
 
-    return any(attempt(bits) for bits in range(1 << len(optional)))
+    for bits in range(1 << len(optional)):
+        if bits == MAX_ALCQ_LABELINGS:
+            raise BoundsExceeded("alcq labeling cap")
+        if attempt(bits):
+            return True
+    return False
 
 
 def check_consistency(a, o, logic, absent=()):

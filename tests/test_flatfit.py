@@ -249,6 +249,21 @@ def test_reverification_at_the_type_enumeration_cap_is_unknown(monkeypatch):
         assert verdict.diagnostics == "type enumeration cap"
 
 
+def test_reverification_at_the_type_elimination_cap_is_unknown(monkeypatch):
+    # with no elimination budget every type system with an existential atom
+    # hits the cap; the ontology synthesized here has r-atoms, so its
+    # re-verification cannot finish
+    monkeypatch.setattr(semantics, "MAX_ELIMINATION_STEPS", 0)
+    monkeypatch.setattr(semantics, "_TYPE_SYSTEM_CACHE", {})
+    pos = Example(abox(concepts=[("A", "a")], roles=[("r", "a", "b")]),
+                  ucq(cq(concepts=[("B", "b")], roles=[("r", "a", "b")])))
+    neg = Example(abox(concepts=[("A", "c")]),
+                  ucq(cq(concepts=[("B", "c")])), "negative")
+    verdict = decide_fullcq_fitting(collection([pos], [neg], FULLCQ, ALC))
+    assert verdict.outcome == UNKNOWN and verdict.ontology is None
+    assert verdict.diagnostics == "type elimination cap"
+
+
 def test_fullcq_fitting_refuted_by_contained_negative_query():
     pos = Example(abox(concepts=[("A", "a")]), ucq(cq(concepts=[("B", "a")])))
     neg = Example(abox(concepts=[("A", "c")], roles=[("r", "c", "c2")]),

@@ -6,12 +6,12 @@ import pytest
 
 from dlfit import cli, semantics
 from dlfit.core import (
-    ALC, ALCI, ALCQ, AQ, AtLeast, AtMost, Example, Exists, InputError, Name,
-    Role, Top, abox, aq_query, collection, cq, normalize_ontology, ontology,
-    preprocess_collection, ucq,
+    ALC, ALCI, ALCQ, AQ, AtLeast, AtMost, Bottom, CONSISTENCY, Example,
+    Exists, InputError, Name, Role, Top, abox, aq_query, collection, cq,
+    normalize_ontology, ontology, preprocess_collection, ucq,
 )
 from dlfit.cli import EXIT_INTERNAL, main
-from dlfit.flatfit import InternalVerificationError
+from dlfit.flatfit import UNKNOWN, InternalVerificationError
 from dlfit.harness import (
     FIXTURE_COLLECTIONS, MAX_CONCEPT_DEPTH, fixture_ontologies,
     generate_from_entailment, bibliography_collection,
@@ -274,6 +274,30 @@ def test_cli_type_enumeration_cap_is_unknown(tmp_path, capsys):
     assert main(["entail", "--abox", str(ab), "--ontology", str(deep),
                  "--query", "B(a)"]) == 2
     assert capsys.readouterr().out.strip() == "unknown"
+
+
+def test_verify_fit_at_the_type_elimination_cap_is_unknown(monkeypatch):
+    monkeypatch.setattr(semantics, "MAX_ELIMINATION_STEPS", 0)
+    monkeypatch.setattr(semantics, "_TYPE_SYSTEM_CACHE", {})
+    o = ontology([(Name("A"), Exists(Role("r"), Name("A")))], ALC)
+    pos = Example(abox(concepts=[("A", "a")]), None)
+    report = verify_fit(o, collection([pos], [], CONSISTENCY, ALC))
+    assert report.verdict.outcome == UNKNOWN
+    assert report.results[0].detail == "type elimination cap"
+
+
+def test_verify_fit_at_the_alcq_labeling_cap_is_unknown():
+    # 21 free (name, individual) slots, so the ALCQ check runs out of
+    # labelings before it can refute the positive example
+    o = ontology([(Top(), AtMost(1, Role("r"), Top())),
+                  (Name("C"), Bottom())], ALCQ)
+    pos = Example(abox(concepts=[("B0", "x0"), ("B1", "x1"), ("B2", "x2")],
+                       roles=[("r", "x0", "y0"), ("r", "x0", "y1"),
+                              ("r", "x0", "y2")]), None)
+    report = verify_fit(o, collection([pos], [], CONSISTENCY, ALCQ))
+    assert report.verdict.outcome == UNKNOWN
+    assert report.results[0].status == "unknown"
+    assert report.results[0].detail == "alcq labeling cap"
 
 
 def test_cli_internal_error_exits_4(monkeypatch, capsys):

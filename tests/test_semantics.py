@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dlfit import semantics
 from dlfit.core import (
     ALC, ALCI, ALCQ, And, AtLeast, AtMost, BOTTOM_ONTOLOGY, Bottom,
     BoundsExceeded, Exists, Forall, InputError, Name, Not, Or, Role, Top,
@@ -187,7 +188,7 @@ def product_assignments(ts, a, absent):
     out = []
     for combo in product(*options):
         tau = dict(zip(inds, combo))
-        if all(ts.edge_ok(tau[u], Role(r), tau[v])
+        if all(ts.edge_ok(tau[u], r, tau[v])
                for r, u, v in a.role_assertions):
             out.append(tau)
     return out
@@ -208,6 +209,162 @@ def test_assignments_match_the_filtered_product(cis, cs, rs, absent):
     want = product_assignments(ts, a, absent)
     assert list(ts.assignments(a, absent)) == want
     assert ts.abox_assignment(a, absent) == (want[0] if want else None)
+
+
+# A reference type elimination over frozensets of tagged atoms, ("n",
+# name) and ("e", Exists), with the definitions the bitset TypeSystem
+# replaced.
+
+
+def ref_holds(c, t):
+    if isinstance(c, Top):
+        return True
+    if isinstance(c, Name):
+        return ("n", c.name) in t
+    if isinstance(c, Not):
+        return not ref_holds(c.arg, t)
+    if isinstance(c, And):
+        return ref_holds(c.left, t) and ref_holds(c.right, t)
+    if isinstance(c, Exists):
+        return ("e", c) in t
+    raise TypeError(f"unexpected concept in reduced form: {c!r}")
+
+
+def ref_edge_ok(atoms, t_from, role, t_to):
+    for e in atoms:
+        if e.role == role and ("e", e) not in t_from:
+            if ref_holds(e.arg, t_to):
+                return False
+        if e.role == role.inverse() and ("e", e) not in t_to:
+            if ref_holds(e.arg, t_from):
+                return False
+    return True
+
+
+def ref_witnesses(atoms, t, e, pool):
+    return [t2 for t2 in pool
+            if ref_edge_ok(atoms, t, e.role, t2) and ref_holds(e.arg, t2)]
+
+
+def ref_eliminate(atoms, types):
+    pool = list(types)
+    changed = True
+    while changed:
+        changed = False
+        keep = []
+        for t in pool:
+            if all(ref_witnesses(atoms, t, e, pool)
+                   for e in atoms if ("e", e) in t):
+                keep.append(t)
+            else:
+                changed = True
+        pool = keep
+    return pool
+
+
+def ref_types(ts):
+    """The assignments to the tracked atoms that satisfy every inclusion,
+    in lexicographic order (names, then existential atoms; absent first)."""
+    tagged = ([("n", n) for n in sorted(ts.names)]
+              + [("e", e) for e in ts.exists_atoms])
+    out = []
+    for values in product((False, True), repeat=len(tagged)):
+        t = frozenset(a for a, v in zip(tagged, values) if v)
+        if all(not ref_holds(l, t) or ref_holds(r, t) for l, r in ts.cis):
+            out.append(t)
+    return out
+
+
+def tagged(ts, t):
+    names, exists = ts.parts(t)
+    return frozenset({("n", n) for n in names} | {("e", e) for e in exists})
+
+
+def ontology_concepts(roles):
+    base = st.one_of(st.just(Top()),
+                     st.builds(Name, st.sampled_from(["A", "B"])))
+    return st.recursive(
+        base, lambda inner: st.one_of(
+            st.builds(Not, inner), st.builds(And, inner, inner),
+            st.builds(Exists, st.sampled_from(roles), inner)),
+        max_leaves=3)
+
+
+@st.composite
+def small_ontologies(draw):
+    logic = draw(st.sampled_from([ALC, ALCI]))
+    roles = [R, Role("s")] + ([R.inverse()] if logic == ALCI else [])
+    concepts = ontology_concepts(roles)
+    cis = draw(st.lists(st.tuples(concepts, concepts), max_size=3))
+    return ontology(cis, logic), logic
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ontologies())
+def test_type_system_matches_the_reference_elimination(case):
+    o, logic = case
+    ts = TypeSystem(o, logic)
+    atoms = ts.exists_atoms
+    types = ref_types(ts)
+    assert [tagged(ts, t) for t in ts.types] == types
+    survivors = ref_eliminate(atoms, types)
+    assert [tagged(ts, t) for t in ts.survivors] == survivors
+    for t1 in ts.survivors:
+        for t2 in ts.survivors:
+            for name in ("r", "s"):
+                role = Role(name)
+                assert ts.edge_ok(t1, name, t2) == ref_edge_ok(
+                    atoms, tagged(ts, t1), role, tagged(ts, t2))
+                assert ts.edge_ok(t2, name, t1) == ref_edge_ok(
+                    atoms, tagged(ts, t1), role.inverse(), tagged(ts, t2))
+        for e in ts.parts(t1)[1]:
+            assert [tagged(ts, w) for w in ts.survivor_witnesses(t1, e)] \
+                == ref_witnesses(atoms, tagged(ts, t1), e, survivors)
+
+
+def cycle_ontology(k, role, poison):
+    """{Ai sub exists role . A(i+1 mod k)}; poison adds A(k-1) sub
+    forall role . not A0, which makes every Ai unsatisfiable."""
+    cis = [(Name(f"A{i}"), Exists(role, Name(f"A{(i + 1) % k}")))
+           for i in range(k)]
+    if poison:
+        cis.append((Name(f"A{k - 1}"), Forall(role, Not(Name("A0")))))
+    return ontology(cis, ALCI if role.inverted else ALC)
+
+
+def test_cycle_ontology_survivors():
+    # 3^7 types survive the plain cycle: each Ai is absent, or present with
+    # its existential atom; the poisoned one keeps only the empty type
+    for role, logic in ((R, ALC), (R.inverse(), ALCI)):
+        ts = TypeSystem(cycle_ontology(7, role, False), logic)
+        assert len(ts.survivors) == 2187
+        ts = TypeSystem(cycle_ontology(7, role, True), logic)
+        assert len(ts.survivors) == 1
+        assert ts.parts(ts.survivors[0]) == (frozenset(), ())
+
+
+def test_type_elimination_is_capped(monkeypatch):
+    monkeypatch.setattr(semantics, "MAX_ELIMINATION_STEPS", 0)
+    monkeypatch.setattr(semantics, "_TYPE_SYSTEM_CACHE", {})
+    o = cycle_ontology(3, R, False)
+    with pytest.raises(BoundsExceeded, match="type elimination cap"):
+        TypeSystem(o, ALC)
+    with pytest.raises(BoundsExceeded, match="type elimination cap"):
+        check_consistency(abox(concepts=[("A0", "a")]), o, ALC)
+    ans = entails_ucq_bounded(abox(concepts=[("A0", "a")]), o,
+                              ucq(cq(concepts=[("A1", "a")])), ALC)
+    assert ans.status == "unknown"
+    assert ans.diagnostics == "type elimination cap"
+
+
+def test_check_consistency_alcq_is_capped():
+    # 21 free (name, individual) slots: 2^21 labelings, all failing
+    o = ontology([(Top(), AtMost(1, R, Top())), (Name("C"), Bottom())],
+                 ALCQ)
+    a = abox(concepts=[("B0", "x0"), ("B1", "x1"), ("B2", "x2")],
+             roles=[("r", "x0", "y0"), ("r", "x0", "y1"), ("r", "x0", "y2")])
+    with pytest.raises(BoundsExceeded, match="alcq labeling cap"):
+        check_consistency(a, o, ALCQ)
 
 
 def test_check_consistency_alcq():
