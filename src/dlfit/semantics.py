@@ -276,6 +276,8 @@ class TypeSystem:
         self._sat = {t: sum(b for f, b in args if f(-1, t))
                      for t in self.types}
         self.survivors = self._eliminate()
+        self._parts = {}  # type -> parts(type), decoded on first use
+        self._compiled = {}  # concept -> _truth(concept)
 
     def _truth(self, c):
         """c, in reduced form, as a function of (known, val): whether c holds
@@ -298,11 +300,25 @@ class TypeSystem:
 
     def parts(self, t):
         """The concept names and the existential atoms of a type."""
-        return (frozenset(n for n in self.names if t & self._bit[n]),
+        if t not in self._parts:
+            self._parts[t] = (
+                frozenset(n for n in self.names if t & self._bit[n]),
                 tuple(e for e, b in self._exists_bits if t & b))
+        return self._parts[t]
 
     def holds(self, c, t):
-        return self._truth(c)(-1, t)
+        if c not in self._compiled:
+            self._compiled[c] = self._truth(c)
+        return self._compiled[c](-1, t)
+
+    def class_key(self, names):
+        """The class of a type, as a function of the type, for a reader
+        that sees only the given concept names, the existential atoms, and
+        which atoms' arguments the type satisfies: types of one class look
+        alike to it."""
+        mask = sum(self._bit[n] for n in self.names & names) \
+            | sum(b for _, b in self._exists_bits)
+        return lambda t: (t & mask, self._sat[t])
 
     def _enumerate(self, n):
         # an inclusion l sub r is violated where l and not r is true
@@ -608,6 +624,7 @@ class EntailmentAnswer:
     status: str  # "entailed" | "not-entailed" | "unknown"
     countermodel: Interpretation = None
     diagnostics: str = ""
+    nodes: int = 0  # search nodes the DFS visited
 
     @property
     def entailed(self):
@@ -643,9 +660,10 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
     # variable the concept names it needs and its role steps, (r, True) for
     # an atom r(v, u) and (r, False) for r(u, v)
     disjuncts = []
-    query_roles = set()
+    query_roles, query_names = set(), set()
     for d in (q.disjuncts if isinstance(q, UCQ) else (q,)):
         query_roles |= {r for r, _, _ in d.role_atoms}
+        query_names |= {n for n, _ in d.concept_atoms}
         needs = {v: (set(), set()) for v in d.variables}
         for n, t in d.concept_atoms:
             if t in needs:
@@ -666,6 +684,23 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
                       key=lambda item: 0 if item[1].role.name in query_roles
                       else 1)
 
+    # the search reads a type only through the query's concept names
+    # (matching), its existential atoms (obligations) and the atoms whose
+    # argument it satisfies (witnessing), so the subtrees below two types
+    # of one class differ only in labels the query cannot see: branching
+    # once per class decides the same
+    key = ts.class_key(query_names)
+    firsts = {}
+
+    def witness_classes(t, e_atom):
+        """The first survivor witness of each class for the atom of t."""
+        if (t, e_atom) not in firsts:
+            first = {}
+            for w in ts.survivor_witnesses(t, e_atom):
+                first.setdefault(key(w), w)
+            firsts[t, e_atom] = list(first.values())
+        return firsts[t, e_atom]
+
     def witnessed(elem, e_atom, types, edges):
         for r, x, y in edges:
             if e_atom.role.inverted:
@@ -678,7 +713,7 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
                     return True
         return False
 
-    def closure_model(types, edges, depth):
+    def closure_model(types, edges):
         """Discharge every pending obligation by linking into one realizer
         node per needed type; yields a genuine finite model."""
         types = dict(types)
@@ -696,7 +731,7 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
             return node
 
         def attach(elem, t, e_atom):
-            t2 = ts.survivor_witnesses(t, e_atom)[0]
+            t2 = witness_classes(t, e_atom)[0]
             other = realize(t2)
             if e_atom.role.inverted:
                 edges.add((e_atom.role.name, other, elem))
@@ -767,7 +802,7 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
                 continue
             # branch over witness types for the first open obligation
             found_any = False
-            for t2 in ts.survivor_witnesses(types[elem], e_atom):
+            for t2 in witness_classes(types[elem], e_atom):
                 child = ("t", counter)
                 new_types = dict(types)
                 new_types[child] = t2
@@ -797,33 +832,37 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
         candidate = _candidate_interpretation(a, types, ts, edges)
         if not pending:
             return candidate
-        closed = closure_model(types, edges, depths)
+        closed = closure_model(types, edges)
         if not evaluate_query(closed, q):
             return closed
         state["inconclusive"] = True
         return None
 
-    saw_assignment = False
+    saw_assignment, explored = False, set()
     for tau in ts.assignments(a):
         saw_assignment = True
+        classes = tuple(key(tau[x]) for x in inds)
+        if classes in explored:
+            continue
+        explored.add(classes)
         edges = set(a.role_assertions)
         depths = {x: 0 for x in inds}
         queue = prioritize([(x, e) for x in inds for e in ts.parts(tau[x])[1]])
         view = TargetView(inds, _labels(a, tau, ts), edges)
         cm = explore(view, dict(tau), edges, depths, queue, 0)
         if cm is not None:
-            return EntailmentAnswer("not-entailed", cm)
+            return EntailmentAnswer("not-entailed", cm, nodes=state["count"])
         if state["capped"]:
             break
     if not saw_assignment:
         return EntailmentAnswer("entailed",
                                 diagnostics="no consistent type assignment")
     if not state["capped"] and not state["inconclusive"]:
-        return EntailmentAnswer("entailed")
+        return EntailmentAnswer("entailed", nodes=state["count"])
     return EntailmentAnswer(
         "unknown", diagnostics="bounds exhausted: "
         + ("candidate cap" if state["capped"] else "blocked extensions "
-           "satisfy the query"))
+           "satisfy the query"), nodes=state["count"])
 
 
 def find_finite_countermodel(a, o, q, logic, max_size, budget=200000):

@@ -12,9 +12,9 @@ from dlfit.core import (
     abox, cq, ontology, ucq,
 )
 from dlfit.semantics import (
-    TreeInterpretation, TypeSystem, abox_interpretation, check_consistency,
-    entails_ground, entails_ucq_bounded, evaluate_query, extension,
-    find_finite_countermodel, interp, is_forest_model, is_model,
+    EntailmentBounds, TreeInterpretation, TypeSystem, abox_interpretation,
+    check_consistency, entails_ground, entails_ucq_bounded, evaluate_query,
+    extension, find_finite_countermodel, interp, is_forest_model, is_model,
 )
 
 R = Role("r")
@@ -596,6 +596,129 @@ def test_entails_ucq_bounded_countermodel_of_a_two_step_query():
     assert evaluate_query(cm, ucq(cq(concepts=[("B", "x")],
                                      roles=[("r", "a", "x")],
                                      variables=["x"])))
+
+
+def assert_genuine_countermodel(ans, a, o, q):
+    cm = ans.countermodel
+    assert is_model(cm, o) and is_model(cm, a)
+    assert not evaluate_query(cm, q)
+
+
+# Known answers for branching once per class of types: a class that
+# ignored the query's names, the existential atoms, or which atoms'
+# arguments a type satisfies would merge a type that avoids the query into
+# one that matches it.
+
+def test_entails_ucq_bounded_separates_query_names():
+    # a's r-successor is in C or in D, and only a D-successor matches
+    o = ontology([(Name("A"), Exists(R, Name("B"))),
+                  (Name("B"), Or(Name("C"), Name("D")))], ALC)
+    a = abox(concepts=[("A", "a")])
+    q = ucq(cq(concepts=[("D", "x")], roles=[("r", "a", "x")],
+               variables=["x"]))
+    ans = entails_ucq_bounded(a, o, q, ALC)
+    assert ans.status == "not-entailed"
+    assert_genuine_countermodel(ans, a, o, q)
+
+
+def test_entails_ucq_bounded_separates_existential_atoms():
+    # a's r-successor is in C or has an s-successor, and only an
+    # s-successor matches; the query sees no concept name
+    o = ontology([(Name("A"), Exists(R, Name("B"))),
+                  (Name("B"), Or(Name("C"), Exists(Role("s"), Top())))], ALC)
+    a = abox(concepts=[("A", "a")])
+    q = ucq(cq(roles=[("r", "a", "x"), ("s", "x", "y")],
+               variables=["x", "y"]))
+    ans = entails_ucq_bounded(a, o, q, ALC)
+    assert ans.status == "not-entailed"
+    assert_genuine_countermodel(ans, a, o, q)
+
+
+def test_entails_ucq_bounded_separates_satisfied_arguments():
+    # a's r-successor x is in E or in Z, names the query does not see; its
+    # s-successor in D must be in Q only when x is not in E
+    s = Role("s")
+    o = ontology([(Name("A"), Exists(R, Name("B"))),
+                  (Name("B"), Exists(s, Name("D"))),
+                  (Name("B"), Or(Name("E"), Name("Z"))),
+                  (And(Name("D"), Not(Name("Q"))),
+                   Not(Exists(s.inverse(), Not(Name("E")))))], ALCI)
+    a = abox(concepts=[("A", "a")])
+    q = ucq(cq(concepts=[("Q", "y")],
+               roles=[("r", "a", "x"), ("s", "x", "y")],
+               variables=["x", "y"]))
+    ans = entails_ucq_bounded(a, o, q, ALCI)
+    assert ans.status == "not-entailed"
+    assert_genuine_countermodel(ans, a, o, q)
+
+
+def test_entails_ucq_bounded_separates_query_names_at_the_root():
+    # the first type assignment puts a in D; the next avoids the query
+    o = ontology([(Name("A"), Or(Name("C"), Name("D")))], ALC)
+    a = abox(concepts=[("A", "a")])
+    q = ucq(cq(concepts=[("D", "a")]))
+    ans = entails_ucq_bounded(a, o, q, ALC)
+    assert ans.status == "not-entailed"
+    assert_genuine_countermodel(ans, a, o, q)
+
+
+def disjunctive_path(k, m):
+    """{A sub exists r . A} and k inclusions A sub (Ci or Di), the ABox
+    A(a), and an r-path of length m from a that ends in A: entailed, and
+    each inclusion doubles the witness types of every obligation."""
+    cis = [(Name("A"), Exists(R, Name("A")))] + [
+        (Name("A"), Or(Name(f"C{i}"), Name(f"D{i}"))) for i in range(k)]
+    xs = [f"x{j}" for j in range(1, m + 1)]
+    path = ["a"] + xs
+    q = ucq(cq(concepts=[("A", xs[-1])],
+               roles=[("r", path[j], path[j + 1]) for j in range(m)],
+               variables=xs))
+    return abox(concepts=[("A", "a")]), ontology(cis, ALCI), q
+
+
+def test_entails_ucq_bounded_disjunctive_paths():
+    # branching over every witness type ran into the candidate cap here;
+    # the query sees none of the Ci and Di, so one witness class remains
+    for k, m in ((3, 3), (4, 2)):
+        a, o, q = disjunctive_path(k, m)
+        ans = entails_ucq_bounded(a, o, q, ALCI)
+        assert ans.status == "entailed"
+        assert ans.nodes <= 20
+
+
+@st.composite
+def small_entailment_problems(draw):
+    """An ALC or ALCI ontology over A, B and r, an ABox over a and b with a
+    concept assertion on a, and a CQ over a, x and y."""
+    logic = draw(st.sampled_from([ALC, ALCI]))
+    concepts = ontology_concepts([R] + ([R.inverse()] if logic == ALCI
+                                        else []))
+    cis = draw(st.lists(st.tuples(concepts, concepts), max_size=3))
+    names, inds, terms = st.sampled_from("AB"), st.sampled_from("ab"), \
+        st.sampled_from("axy")
+    cs = {(draw(names), "a")} | draw(st.sets(st.tuples(names, inds),
+                                             max_size=1))
+    rs = draw(st.sets(st.tuples(st.just("r"), inds, inds), max_size=2))
+    q_cs = draw(st.sets(st.tuples(names, terms), max_size=2))
+    q_rs = draw(st.sets(st.tuples(st.just("r"), terms, terms),
+                        min_size=0 if q_cs else 1, max_size=2))
+    used = {t for _, t in q_cs} | {t for _, u, v in q_rs for t in (u, v)}
+    q = ucq(cq(concepts=q_cs, roles=q_rs, variables=used & {"x", "y"}))
+    return abox(concepts=cs, roles=rs), ontology(cis, logic), q, logic
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_entailment_problems())
+def test_entails_ucq_bounded_agrees_with_finite_models(problem):
+    a, o, q, logic = problem
+    # a few instances run to the default 50,000-node cap, for seconds each
+    ans = entails_ucq_bounded(a, o, q, logic,
+                              EntailmentBounds(max_candidates=2000))
+    if ans.status == "not-entailed":
+        assert_genuine_countermodel(ans, a, o, q)
+    elif ans.status == "entailed":
+        model, settled = find_finite_countermodel(a, o, q, logic, 2)
+        assert not (settled and model is not None)
 
 
 def test_find_finite_countermodel():
