@@ -701,24 +701,30 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
             firsts[t, e_atom] = list(first.values())
         return firsts[t, e_atom]
 
-    def witnessed(elem, e_atom, types, edges):
-        for r, x, y in edges:
-            if e_atom.role.inverted:
-                if r == e_atom.role.name and y == elem and \
-                        ts.holds(e_atom.arg, types[x]):
-                    return True
-            else:
-                if r == e_atom.role.name and x == elem and \
-                        ts.holds(e_atom.arg, types[y]):
+    def witnessed(elem, e_atom, types, *indexes):
+        """Whether some role successor of elem satisfies the atom's
+        argument; each index is a pair (succ, pred) of edges by (role-name,
+        element), and together they hold every edge."""
+        key = (e_atom.role.name, elem)
+        for succ, pred in indexes:
+            for y in (pred if e_atom.role.inverted else succ).get(key, ()):
+                if ts.holds(e_atom.arg, types[y]):
                     return True
         return False
 
-    def closure_model(types, edges):
+    def closure_model(types, edges, view):
         """Discharge every pending obligation by linking into one realizer
-        node per needed type; yields a genuine finite model."""
+        node per needed type; yields a genuine finite model.  The view
+        indexes the given edges; the linked ones get their own index."""
         types = dict(types)
         edges = set(edges)
+        succ, pred = {}, {}
         realizer = {}
+
+        def link(r, x, y):
+            edges.add((r, x, y))
+            succ.setdefault((r, x), set()).add(y)
+            pred.setdefault((r, y), set()).add(x)
 
         def realize(t):
             if t in realizer:
@@ -734,13 +740,14 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
             t2 = witness_classes(t, e_atom)[0]
             other = realize(t2)
             if e_atom.role.inverted:
-                edges.add((e_atom.role.name, other, elem))
+                link(e_atom.role.name, other, elem)
             else:
-                edges.add((e_atom.role.name, elem, other))
+                link(e_atom.role.name, elem, other)
 
         for elem, t in list(types.items()):
             for e_atom in ts.parts(t)[1]:
-                if not witnessed(elem, e_atom, types, edges):
+                if not witnessed(elem, e_atom, types, (view.succ, view.pred),
+                                 (succ, pred)):
                     attach(elem, t, e_atom)
         return _candidate_interpretation(a, types, ts, edges)
 
@@ -792,7 +799,7 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
         pending = []
         while queue:
             elem, e_atom = queue[0]
-            if witnessed(elem, e_atom, types, edges):
+            if witnessed(elem, e_atom, types, (view.succ, view.pred)):
                 queue = queue[1:]
                 continue
             if depths[elem] >= bounds.depth or \
@@ -832,7 +839,7 @@ def entails_ucq_bounded(a, o, q, logic, bounds=EntailmentBounds()):
         candidate = _candidate_interpretation(a, types, ts, edges)
         if not pending:
             return candidate
-        closed = closure_model(types, edges)
+        closed = closure_model(types, edges, view)
         if not evaluate_query(closed, q):
             return closed
         state["inconclusive"] = True

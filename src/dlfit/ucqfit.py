@@ -3,7 +3,7 @@ variation-based obligation checking, finite-witness search, and ontology
 synthesis from finite witnesses."""
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .core import (
@@ -163,11 +163,12 @@ def enumerate_proper_variations(p, a, logic):
     return sorted(out, key=repr)
 
 
+@lru_cache(maxsize=256)
 def _variation_pool(e, logic):
-    pool = []
-    for d in e.query.disjuncts:
-        pool.extend(enumerate_proper_variations(d, e.abox, logic))
-    return pool
+    """The proper variations of every disjunct of the example's query,
+    built once per (example, logic)."""
+    return tuple(p for d in e.query.disjuncts
+                 for p in enumerate_proper_variations(d, e.abox, logic))
 
 
 def obligation_holds(piece, e, h, logic, variations=None):
@@ -296,14 +297,8 @@ def check_finite_witness(w, e, logic):
     return True
 
 
-def _distinct_neighbors(edges, x):
-    out = set()
-    for r, a, b in edges:
-        if a == x:
-            out.add(b)
-        if b == x:
-            out.add(a)
-    return out
+# the finite-witness search gives up (unknown) after visiting this many states
+MAX_WITNESS_STATES = 20000
 
 
 def search_finite_witness(e, logic, b):
@@ -336,14 +331,6 @@ def search_finite_witness(e, logic, b):
             edges |= edg
             names |= {(x, x) for x in dom}
         return interp(domain, labels, edges, names)
-
-    def violated(state):
-        j = to_interp(state)
-        for i, pos in enumerate(e.positives):
-            for h in homomorphisms(pos.abox, j):
-                if not obligation_holds(j, pos, h, logic, variations[i]):
-                    return (i, h)
-        return None
 
     def part_ok(state, k):
         dom, lab, edg = state[k]
@@ -441,11 +428,14 @@ def search_finite_witness(e, logic, b):
             return None
         result = tuple((frozenset(d), frozenset(l), frozenset(ed))
                        for d, l, ed in new)
-        # degree bound
-        for dom, _, edg in result:
-            for x in dom:
-                if len(_distinct_neighbors(edg, x)) > b.degree:
-                    return None
+        # degree bound: the distinct neighbours of each element of a part
+        for _, _, edg in result:
+            neighbors = {}
+            for _, x, y in edg:
+                neighbors.setdefault(x, set()).add(y)
+                neighbors.setdefault(y, set()).add(x)
+            if any(len(ns) > b.degree for ns in neighbors.values()):
+                return None
         return result
 
     element_part_cache = {}
@@ -462,21 +452,53 @@ def search_finite_witness(e, logic, b):
             return k
         return None
 
+    def children(state, i, h):
+        """The viable unvisited one-step repairs of the (i, h) obligation,
+        each with its interpretation, smaller states first."""
+        anchor = _element_part(sorted(h.as_dict().values(), key=repr)[0])
+        if anchor is None:
+            anchor = 0
+        out = {}
+        for p, g in repairs(state, i, h):
+            ns = apply_repair(state, p, dict(g), anchor)
+            if ns is None or ns == state or ns in visited or ns in out:
+                continue
+            if not all(part_ok(ns, k) for k in range(len(e.negatives))):
+                continue
+            j = to_interp(ns)
+            if negatives_safe(j):
+                out[ns] = j
+        return sorted(out.items(), key=lambda kid: (
+            sum(len(d) + len(l) + len(ed) for d, l, ed in kid[0]),
+            repr(kid[0])))
+
     initial = tuple(init_parts)
     j0 = to_interp(initial)
     if not negatives_safe(j0):
         return None
     visited = set()
-    stack = [initial]
+    # each entry: a state, its interpretation, and the obligations (i, h)
+    # its parent satisfied; a child only adds elements, labels and edges,
+    # so query matches persist and reachable sets grow, and those
+    # obligations still hold in it
+    stack = [(initial, j0, frozenset())]
     while stack:
-        state = stack.pop()
+        state, j, held = stack.pop()
         if state in visited:
             continue
         visited.add(state)
-        if len(visited) > 20000:
+        if len(visited) > MAX_WITNESS_STATES:
             raise BoundsExceeded("finite-witness search state cap")
-        bad = violated(state)
-        if bad is None:
+        satisfied, violated = set(held), []
+        for i, pos in enumerate(e.positives):
+            for h in homomorphisms(pos.abox, j):
+                if (i, h) in held:
+                    continue
+                if obligation_holds(j, pos, h, logic, variations[i]):
+                    satisfied.add((i, h))
+                else:
+                    violated.append((i, h))
+        if not violated:
             parts = []
             for k, (dom, lab, edg) in enumerate(state):
                 names = {(x, x) for x in dom}
@@ -485,25 +507,19 @@ def search_finite_witness(e, logic, b):
             if check_finite_witness(w, e, logic):
                 return w
             continue
-        i, h = bad
-        anchor = _element_part(sorted(h.as_dict().values(), key=repr)[0])
-        if anchor is None:
-            anchor = 0
-        next_states = []
-        for p, g in repairs(state, i, h):
-            ns = apply_repair(state, p, dict(g), anchor)
-            if ns is None or ns == state:
-                continue
-            if not all(part_ok(ns, k) for k in range(len(e.negatives))):
-                continue
-            if not negatives_safe(to_interp(ns)):
-                continue
-            if ns not in visited:
-                next_states.append(ns)
-        # deterministic order, smaller states first
-        next_states.sort(key=lambda s: (sum(len(d) + len(l) + len(ed)
-                                            for d, l, ed in s), repr(s)))
-        stack.extend(reversed(next_states))
+        # fail first: every witness extending this state repairs every
+        # violated obligation, so branch on the one with the fewest viable
+        # repairs (the first among equals) and close the state when some
+        # obligation has none
+        best = None
+        for i, h in violated:
+            kids = children(state, i, h)
+            if best is None or len(kids) < len(best):
+                best = kids
+            if not best:
+                break
+        satisfied = frozenset(satisfied)
+        stack.extend((ns, nj, satisfied) for ns, nj in reversed(best))
     return None
 
 

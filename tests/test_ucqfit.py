@@ -3,12 +3,15 @@ per-homomorphism obligation, mosaics, finite witnesses, and the decision
 procedure."""
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+from dlfit import ucqfit
 from dlfit.core import (
-    ALC, ALCI, BOTTOM_ONTOLOGY, Example, InputError, UCQ_MODE, abox,
-    aq_query, collection, cq, preprocess_collection, size_of, ucq,
+    ALC, ALCI, And, BOTTOM_ONTOLOGY, BoundsExceeded, Example, Exists,
+    InputError, Name, Not, Role, Top, UCQ_MODE, abox, aq_query, collection,
+    cq, ontology, preprocess_collection, size_of, ucq,
 )
-from dlfit.harness import inverse_cycles_collection
+from dlfit.harness import generate_from_entailment, inverse_cycles_collection
 from dlfit.homs import homomorphisms
 from dlfit.semantics import interp
 from dlfit.ucqfit import (
@@ -200,3 +203,89 @@ def test_decide_ucq_fitting_mode_guard():
     from dlfit.harness import edge_loop_collection
     with pytest.raises(InputError):
         decide_ucq_fitting(edge_loop_collection())
+
+
+def test_decide_ucq_fitting_at_the_state_cap_is_unknown(monkeypatch):
+    e = inverse_cycles_collection(ALCI)
+    monkeypatch.setattr(ucqfit, "MAX_WITNESS_STATES", 0)
+    capped = decide_ucq_fitting(e, Bounds(depth_unit=2, degree=2))
+    assert capped.outcome == UNKNOWN
+    assert "finite-witness search state cap" in capped.diagnostics
+
+
+def test_search_closes_a_dead_state_at_the_root(monkeypatch):
+    # both obligations are violated at the root; an s-successor repairs the
+    # first, but every repair of the second adds an r-edge at b, which
+    # matches the negative query
+    s_succ = ucq(cq(roles=[("s", "a", "x")], variables=["x"]))
+    r_succ_b = ucq(cq(concepts=[("B", "x")], roles=[("r", "a", "x")],
+                      variables=["x"]))
+    e = collection(
+        [Example(abox(concepts=[("A", "a")]), s_succ),
+         Example(abox(concepts=[("A", "a")]), r_succ_b)],
+        [neg(abox(concepts=[("A", "b")]),
+             ucq(cq(roles=[("r", "b", "y")], variables=["y"])))],
+        UCQ_MODE, ALC)
+    monkeypatch.setattr(ucqfit, "MAX_WITNESS_STATES", 1)
+    assert search_finite_witness(e, ALC, Bounds(finite_witness_size=4)) \
+        is None
+
+
+def test_search_branches_on_the_most_constrained_obligation(monkeypatch):
+    # an entailed acceptance-10 triple: branching on the first violated
+    # obligation visits 762 states at size 6 and degree 3
+    r = Role("r")
+    e = generate_from_entailment(
+        abox(concepts=[("A", "a")], roles=[("r", "a", "b")]),
+        ontology([(Name("A"), Exists(r, Name("B")))], ALCI),
+        ucq(cq(roles=[("r", "x", "y")], variables=["x", "y"])))
+    monkeypatch.setattr(ucqfit, "MAX_WITNESS_STATES", 50)
+    try:
+        w = search_finite_witness(e, ALCI,
+                                  Bounds(finite_witness_size=6, degree=3))
+    except BoundsExceeded:
+        pytest.fail("the search ran past 50 states")
+    assert w is None
+
+
+def small_concepts():
+    roles = [Role("r"), Role("r", True)]
+    base = st.one_of(st.just(Top()), st.builds(Name, st.sampled_from("AB")))
+    return st.recursive(
+        base, lambda inner: st.one_of(
+            st.builds(Not, inner), st.builds(And, inner, inner),
+            st.builds(Exists, st.sampled_from(roles), inner)),
+        max_leaves=3)
+
+
+@st.composite
+def generated_collections(draw):
+    """The collection generated from a small ALCI entailment problem over A,
+    B and r, with individuals a and b and a query over a, x and y."""
+    concepts = small_concepts()
+    cis = draw(st.lists(st.tuples(concepts, concepts), max_size=2))
+    names, inds, terms = st.sampled_from("AB"), st.sampled_from("ab"), \
+        st.sampled_from("axy")
+    cs = {(draw(names), "a")} | draw(st.sets(st.tuples(names, inds),
+                                             max_size=1))
+    rs = draw(st.sets(st.tuples(st.just("r"), inds, inds), max_size=1))
+    q_cs = draw(st.sets(st.tuples(names, terms), max_size=1))
+    q_rs = draw(st.sets(st.tuples(st.just("r"), terms, terms), min_size=1,
+                        max_size=2))
+    used = {t for _, t in q_cs} | {t for _, u, v in q_rs for t in (u, v)}
+    q = ucq(cq(concepts=q_cs, roles=q_rs, variables=used & {"x", "y"}))
+    return generate_from_entailment(abox(concepts=cs, roles=rs),
+                                    ontology(cis, ALCI), q)
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None)
+@given(generated_collections())
+def test_every_witness_found_verifies(e):
+    try:
+        w = search_finite_witness(e, ALCI, Bounds(finite_witness_size=3))
+    except BoundsExceeded:
+        return
+    if w is not None:
+        assert check_finite_witness(w, w.collection, ALCI)
+        assert synthesize_vd_ontology(w, ALCI, e=w.collection).logic == ALCI
