@@ -20,6 +20,10 @@ NORMAL_FORM_PREFIX = "__f"
 FRESH_HEAD_PREFIX = "__X"
 PARTITION_PREFIX = "__V"
 
+# the parser and Ontology refuse deeper concepts: the recursive passes over
+# concepts (hashing, serialization, compiling) would overflow the stack
+MAX_CONCEPT_DEPTH = 200
+
 
 class InputError(ValueError):
     """Malformed or ill-typed input."""
@@ -107,28 +111,42 @@ class AtLeast(Concept):
     arg: "Concept"
 
 
+def _children(c):
+    if isinstance(c, (And, Or)):
+        return (c.left, c.right)
+    if isinstance(c, (Not, Exists, Forall, AtMost, AtLeast)):
+        return (c.arg,)
+    return ()
+
+
 def subconcepts(c):
-    """All subconcept nodes of c, including c itself."""
-    out = [c]
-    if isinstance(c, Not):
-        out += subconcepts(c.arg)
-    elif isinstance(c, (And, Or)):
-        out += subconcepts(c.left) + subconcepts(c.right)
-    elif isinstance(c, (Exists, Forall, AtMost, AtLeast)):
-        out += subconcepts(c.arg)
+    """All subconcept nodes of c, including c itself, in preorder."""
+    out, stack = [], [c]
+    while stack:
+        out.append(stack.pop())
+        stack += reversed(_children(out[-1]))
     return out
 
 
-def check_concept(c, logic):
-    """Raise unless c is well-formed for the given logic."""
-    for s in subconcepts(c):
-        if isinstance(s, (Exists, Forall, AtMost, AtLeast)):
-            if s.role.inverted and logic != ALCI:
-                raise UnsupportedLogicError(
-                    f"inverse role {s.role.name}- requires logic {ALCI}")
-        if isinstance(s, (AtMost, AtLeast)) and logic != ALCQ:
-            raise UnsupportedLogicError(
-                f"number restrictions require logic {ALCQ}")
+def check_concepts(concepts, logic):
+    """Raise unless every concept is well-formed for the given logic and at
+    most MAX_CONCEPT_DEPTH levels deep.  The walk goes one level at a time
+    and checks each distinct node (by identity) once per level it is on."""
+    level, depth = {id(c): c for c in concepts}, 0
+    while level:
+        depth += 1
+        if depth > MAX_CONCEPT_DEPTH:
+            raise InputError(f"concept nested deeper than {MAX_CONCEPT_DEPTH} "
+                             "levels")
+        for c in level.values():
+            if isinstance(c, (Exists, Forall, AtMost, AtLeast)):
+                if c.role.inverted and logic != ALCI:
+                    raise UnsupportedLogicError(
+                        f"inverse role {c.role.name}- requires logic {ALCI}")
+                if isinstance(c, (AtMost, AtLeast)) and logic != ALCQ:
+                    raise UnsupportedLogicError(
+                        f"number restrictions require logic {ALCQ}")
+        level = {id(d): d for c in level.values() for d in _children(c)}
 
 
 def expand_abbreviations(c):
@@ -164,9 +182,7 @@ class Ontology:
     def __post_init__(self):
         if self.logic not in LOGICS:
             raise InputError(f"unknown logic {self.logic!r}")
-        for lhs, rhs in self.inclusions:
-            check_concept(lhs, self.logic)
-            check_concept(rhs, self.logic)
+        check_concepts((c for ci in self.inclusions for c in ci), self.logic)
 
 
 def ontology(inclusions, logic=ALCI):
@@ -439,15 +455,10 @@ def normalize_ontology(o):
     reserved namespace; entailment of Boolean queries over the original
     signature is preserved because each fresh name is forced equivalent to
     the concept it abbreviates."""
+    # Ontology admits number restrictions under ALCQ only
     if o.logic == ALCQ:
         raise UnsupportedLogicError("normal form is defined without number "
                                     "restrictions")
-    for lhs, rhs in o.inclusions:
-        for c in (lhs, rhs):
-            for s in subconcepts(c):
-                if isinstance(s, (AtMost, AtLeast)):
-                    raise UnsupportedLogicError(
-                        "normal form is defined without number restrictions")
 
     counter = [0]
 

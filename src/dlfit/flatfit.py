@@ -90,10 +90,11 @@ def _pname(individual):
 
 
 def _big_or(concepts):
-    out = concepts[0]
-    for c in concepts[1:]:
-        out = Or(out, c)
-    return out
+    """The disjunction of the concepts, as a balanced tree."""
+    if len(concepts) == 1:
+        return concepts[0]
+    half = len(concepts) // 2
+    return Or(_big_or(concepts[:half]), _big_or(concepts[half:]))
 
 
 def _partition_axioms(assertions_c, assertions_r, individuals, sig,
@@ -103,21 +104,26 @@ def _partition_axioms(assertions_c, assertions_r, individuals, sig,
     individual."""
     inds = sorted(individuals)
     v = {a: Name(_pname(a)) for a in inds}
+    # shared nodes, built once rather than once per axiom
+    bot = Bottom()
+    lacks = {n: Not(Name(n)) for n in sig.concept_names}
+    avoid = {(r, b): Forall(Role(r), Not(v[b]))
+             for r in sig.role_names for b in inds}
     axioms = {(Top(), _big_or([v[a] for a in inds]))}
     for i, a in enumerate(inds):
         for b in inds[i + 1:]:
-            axioms.add((And(v[a], v[b]), Bottom()))
+            axioms.add((And(v[a], v[b]), bot))
     for a in inds:
         for n in sorted(sig.concept_names):
             if (n, a) in assertions_c:
                 if positive_labels:
-                    axioms.add((v[a], Name(n)))
+                    axioms.add((v[a], lacks[n].arg))
             else:
-                axioms.add((v[a], Not(Name(n))))
+                axioms.add((v[a], lacks[n]))
         for r in sorted(sig.role_names):
             for b in inds:
                 if (r, a, b) not in assertions_r:
-                    axioms.add((v[a], Forall(Role(r), Not(v[b]))))
+                    axioms.add((v[a], avoid[r, b]))
     return axioms
 
 

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from .core import (
     ALC, ALCI, ALCQ, AQ, AtLeast, AtMost, And, Bottom, BoundsExceeded,
     CONSISTENCY, CQ, Exists, Example, ExampleCollection, FULLCQ, Forall,
-    InputError, MODES, Name, Not, Ontology, Or, Role, Top, UCQ, UCQ_MODE,
-    abox, aq_query, check_concept, collection, cq, normalize_ontology,
-    ontology, signature_of, subconcepts, ucq,
+    InputError, MAX_CONCEPT_DEPTH, MODES, Name, Not, Ontology, Or, Role, Top,
+    UCQ, UCQ_MODE, abox, aq_query, check_concepts, collection, cq,
+    normalize_ontology, ontology, signature_of, subconcepts, ucq,
 )
 from .flatfit import (
     FITTING_EXISTS, FitVerdict, NO_FITTING, UNKNOWN,
@@ -28,10 +28,6 @@ _KEYWORDS = frozenset([
     "top", "bot", "not", "and", "or", "exists", "forall", "atmost", "atleast",
     "sub",
 ])
-
-# deeper concepts are refused: the parser and the recursive passes over
-# concepts (hashing, subconcepts, serialization) would overflow the stack
-MAX_CONCEPT_DEPTH = 200
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[^\S\n]+)
@@ -288,8 +284,12 @@ def inclusion_text(ci):
 
 
 def serialize_ontology(o):
+    # one text per distinct concept node: synthesized axioms share nodes
+    nodes = {id(c): c for ci in o.inclusions for c in ci}
+    text = {k: concept_text(c) for k, c in nodes.items()}
     lines = [f"logic: {LOGIC_TEXT[o.logic]}"]
-    lines += sorted(inclusion_text(ci) for ci in o.inclusions)
+    lines += sorted(f"{text[id(lhs)]} sub {text[id(rhs)]}"
+                    for lhs, rhs in o.inclusions)
     return "\n".join(lines) + "\n"
 
 
@@ -432,9 +432,7 @@ def verify_fit(o, e, bounds=None):
     consistency mode) and negative ones must not.  Query-fitting with unions
     of conjunctive queries uses bounded entailment, so individual results and
     the overall verdict may come out unknown."""
-    for ci in o.inclusions:
-        for c in ci:
-            check_concept(c, e.logic)
+    check_concepts((c for ci in o.inclusions for c in ci), e.logic)
     if bounds is None:
         bounds = EntailmentBounds()
     results = []

@@ -321,14 +321,22 @@ class TypeSystem:
         return lambda t: (t & mask, self._sat[t])
 
     def _enumerate(self, n):
-        # an inclusion l sub r is violated where l and not r is true
+        # l sub r is violated where l and not r is true; that value changes
+        # only where an atom in it is decided, so the node deciding bit k - 1
+        # checks only the rules at[k - 1]
         rules = [self._truth(And(l, Not(r))) for l, r in self.cis]
+        at = [[] for _ in range(n)]
+        for (l, r), f in zip(self.cis, rules):
+            for a in {s.name if isinstance(s, Name) else s
+                      for s in subconcepts(l) + subconcepts(r)
+                      if isinstance(s, (Name, Exists))}:
+                at[self._bit[a].bit_length() - 1].append(f)
         out = []
         nodes = 0
 
         def go(k, known, val):
             nonlocal nodes
-            if any(f(known, val) for f in rules):
+            if any(f(known, val) for f in (at[k - 1] if k else rules)):
                 return
             nodes += 1
             if nodes > MAX_TYPE_NODES:
@@ -498,13 +506,20 @@ _TYPE_SYSTEM_CACHE = {}
 
 def type_system(o, logic):
     """Memoized TypeSystem factory; construction does the exponential type
-    enumeration, so repeated oracle calls share it."""
+    enumeration, so repeated oracle calls share it.  A capped build's error
+    is memoized without the build's frames and raised afresh each call."""
     key = (o, logic)
     if key not in _TYPE_SYSTEM_CACHE:
         if len(_TYPE_SYSTEM_CACHE) > 512:
             _TYPE_SYSTEM_CACHE.clear()
-        _TYPE_SYSTEM_CACHE[key] = TypeSystem(o, logic)
-    return _TYPE_SYSTEM_CACHE[key]
+        try:
+            _TYPE_SYSTEM_CACHE[key] = TypeSystem(o, logic)
+        except BoundsExceeded as exc:
+            _TYPE_SYSTEM_CACHE[key] = exc.with_traceback(None)
+    ts = _TYPE_SYSTEM_CACHE[key]
+    if isinstance(ts, BoundsExceeded):
+        raise BoundsExceeded(*ts.args)
+    return ts
 
 
 def _alcq_substructure_safe(o):

@@ -42,7 +42,7 @@ FIXDIR = __file__.rsplit("/", 2)[0] + "/fixtures"
 
 def report(num, ok, seconds, budget, detail):
     status = "PASS" if ok and seconds < budget else "FAIL"
-    line = (f"acceptance {num:02d}: {status} ({seconds:.2f}s / {budget:.0f}s) "
+    line = (f"acceptance {num:02d}: {status} ({seconds:.2f}s / {budget:g}s) "
             f"{detail}")
     ACCEPTANCE_LINES.append(line)
     print(line, file=sys.__stdout__, flush=True)
@@ -507,3 +507,21 @@ def test_acceptance_12_mosaic_elimination_properties():
         good += batch == single and batch <= s0
     report(12, good == 50, time.perf_counter() - t0, 60.0,
            f"elimination schedules agree and shrink their input: {good}/50")
+
+
+def test_acceptance_13_aq_chain_reverification():
+    # A(x), r(x,y) => A(y) against an r-chain c0..c19 from A: B is never
+    # derived, so the partition ontology over the 20 individuals fits and
+    # is re-verified by type enumeration, elimination and assignment
+    chain = [f"c{i}" for i in range(20)]
+    e = collection(
+        [Example(abox([("A", "x")], [("r", "x", "y")]), aq_query("A", "y"))],
+        [Example(abox([("A", chain[0])],
+                      [("r", x, y) for x, y in zip(chain, chain[1:])]),
+                 aq_query("B", chain[-1]))],
+        AQ, ALC)
+    t0 = time.perf_counter()
+    verdict = decide_aq_fitting(e)
+    report(13, verdict.outcome == FITTING_EXISTS, time.perf_counter() - t0,
+           0.5, "AQ chain of 20 individuals re-verifies its partition "
+           "ontology")

@@ -8,7 +8,7 @@ from dlfit.core import (
     ALC, ALCI, ALCQ, AQ, And, AtMost, Bottom, CONSISTENCY, CQ, Exists,
     Example, FULLCQ, Forall, InputError, Name, Not, Or, Role, Top, UCQ,
     UCQ_MODE, UnsupportedLogicError, abox, abox_components, aq_query,
-    check_concept, collection, cq, cq_components, expand_abbreviations,
+    check_concepts, collection, cq, cq_components, expand_abbreviations,
     normalize_ontology, ontology, preprocess_collection,
     reduce_consistent_fitting, signature_of, size_of, subconcepts, ucq,
 )
@@ -44,11 +44,11 @@ def test_role_inverse_involution():
 
 def test_check_concept_rejects_constructs_outside_logic():
     with pytest.raises(UnsupportedLogicError):
-        check_concept(Exists(Role("r", True), Top()), ALC)
+        check_concepts([Exists(Role("r", True), Top())], ALC)
     with pytest.raises(UnsupportedLogicError):
-        check_concept(AtMost(1, Role("r"), Top()), ALCI)
-    check_concept(Exists(Role("r", True), Top()), ALCI)
-    check_concept(AtMost(1, Role("r"), Top()), ALCQ)
+        check_concepts([AtMost(1, Role("r"), Top())], ALCI)
+    check_concepts([Exists(Role("r", True), Top())], ALCI)
+    check_concepts([AtMost(1, Role("r"), Top())], ALCQ)
 
 
 def _eval(c, labels):

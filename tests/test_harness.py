@@ -3,15 +3,18 @@
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlfit import cli, semantics
 from dlfit.core import (
-    ALC, ALCI, ALCQ, AQ, AtLeast, AtMost, Bottom, CONSISTENCY, Example,
-    Exists, InputError, Name, Role, Top, abox, aq_query, collection, cq,
-    normalize_ontology, ontology, preprocess_collection, ucq,
+    ALC, ALCI, ALCQ, AQ, And, AtLeast, AtMost, Bottom, CONSISTENCY, Example,
+    Exists, Forall, InputError, Name, Not, Or, Role, Top, abox, aq_query,
+    collection, cq, normalize_ontology, ontology, preprocess_collection, ucq,
 )
 from dlfit.cli import EXIT_INTERNAL, main
-from dlfit.flatfit import UNKNOWN, InternalVerificationError
+from dlfit.flatfit import (
+    UNKNOWN, InternalVerificationError, decide_consistency_fitting,
+)
 from dlfit.harness import (
     FIXTURE_COLLECTIONS, MAX_CONCEPT_DEPTH, fixture_ontologies,
     generate_from_entailment, bibliography_collection,
@@ -75,6 +78,63 @@ def test_concept_nesting_is_capped():
     with pytest.raises(InputError) as err:
         parse_ontology("A sub " + "not " * MAX_CONCEPT_DEPTH + "B")
     assert "line 1, column" in str(err.value)
+
+
+def test_ontology_depth_cap_matches_the_parser():
+    def nested(levels):
+        c = Name("B")
+        for _ in range(levels - 1):
+            c = Not(c)
+        return c
+
+    ok = nested(MAX_CONCEPT_DEPTH)
+    text = "A sub " + "not " * (MAX_CONCEPT_DEPTH - 1) + "B"
+    assert parse_ontology(text) == ontology([(Name("A"), ok)], ALC)
+    with pytest.raises(InputError, match="nested deeper"):
+        parse_ontology("A sub not " + text[len("A sub "):])
+    with pytest.raises(InputError, match="nested deeper"):
+        ontology([(Name("A"), Not(ok))], ALC)
+    # a shared node is as deep wherever it occurs
+    with pytest.raises(InputError, match="nested deeper"):
+        ontology([(Name("A"), ok), (And(Top(), ok), Bottom())], ALC)
+
+
+@st.composite
+def random_ontologies(draw):
+    """Ontologies of each logic, over every concept constructor it allows."""
+    logic = draw(st.sampled_from([ALC, ALCI, ALCQ]))
+    roles = st.builds(Role, st.sampled_from(["r", "s"]),
+                      st.booleans() if logic == ALCI else st.just(False))
+    counted = (AtMost, AtLeast) if logic == ALCQ else ()
+    base = st.one_of(st.just(Top()), st.just(Bottom()),
+                     st.builds(Name, st.sampled_from(["A", "B", "C"])))
+    concepts = st.recursive(base, lambda inner: st.one_of(
+        st.builds(Not, inner), st.builds(And, inner, inner),
+        st.builds(Or, inner, inner), st.builds(Exists, roles, inner),
+        st.builds(Forall, roles, inner),
+        *[st.builds(k, st.integers(0, 3), roles, inner) for k in counted]),
+        max_leaves=6)
+    return ontology(draw(st.lists(st.tuples(concepts, concepts),
+                                  max_size=4)), logic)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_ontologies())
+def test_parse_serialize_is_the_identity_on_ontologies(o):
+    assert parse_ontology(serialize_ontology(o)) == o
+
+
+def test_synthesized_ontologies_over_many_individuals_parse_back():
+    # 202 individuals: a left-nested covering axiom would be 202 levels deep
+    positives = [Example(abox(roles=[("r", f"a{i}", f"b{i}"),
+                                     ("r", f"b{i}", f"a{i}")]), None)
+                 for i in range(101)]
+    negative = Example(abox(roles=[("r", "z", "z")]), None)
+    verdict = decide_consistency_fitting(
+        collection(positives, [negative], CONSISTENCY, ALC))
+    o = verdict.ontology
+    assert verdict.fitting_exists
+    assert parse_ontology(serialize_ontology(o)) == o
 
 
 def test_parse_errors_carry_line_and_column():

@@ -15,6 +15,7 @@ from dlfit.semantics import (
     EntailmentBounds, TreeInterpretation, TypeSystem, abox_interpretation,
     check_consistency, entails_ground, entails_ucq_bounded, evaluate_query,
     extension, find_finite_countermodel, interp, is_forest_model, is_model,
+    type_system,
 )
 
 R = Role("r")
@@ -320,6 +321,75 @@ def test_type_system_matches_the_reference_elimination(case):
         for e in ts.parts(t1)[1]:
             assert [tagged(ts, w) for w in ts.survivor_witnesses(t1, e)] \
                 == ref_witnesses(atoms, tagged(ts, t1), e, survivors)
+
+
+def all_rules_enumeration(ts):
+    """The types and the node count of the enumeration that checks every
+    inclusion at every search node, in TypeSystem's bit order."""
+    rules = [ts._truth(And(l, Not(r))) for l, r in ts.cis]
+    n = len(ts.names) + len(ts.exists_atoms)
+    out, nodes = [], 0
+
+    def go(k, known, val):
+        nonlocal nodes
+        if any(f(known, val) for f in rules):
+            return
+        nodes += 1
+        if k == n:
+            out.append(val)
+            return
+        for v in (val, val | 1 << k):
+            go(k + 1, known | 1 << k, v)
+
+    go(0, 0, 0)
+    return out, nodes
+
+
+@st.composite
+def indexed_ontologies(draw):
+    logic = draw(st.sampled_from([ALC, ALCI]))
+    roles = [R, Role("s")] + ([R.inverse()] if logic == ALCI else [])
+    base = st.one_of(st.just(Top()), st.just(Bottom()),
+                     st.builds(Name, st.sampled_from(["A", "B", "C"])))
+    concepts = st.recursive(
+        base, lambda inner: st.one_of(
+            st.builds(Not, inner), st.builds(And, inner, inner),
+            st.builds(Or, inner, inner),
+            st.builds(Exists, st.sampled_from(roles), inner),
+            st.builds(Forall, st.sampled_from(roles), inner)),
+        max_leaves=4)
+    cis = draw(st.lists(st.tuples(concepts, concepts), max_size=5))
+    return ontology(cis, logic), logic
+
+
+@settings(max_examples=200, deadline=None)
+@given(indexed_ontologies())
+def test_rule_index_matches_the_all_rules_enumeration(case):
+    o, logic = case
+    ts = TypeSystem(o, logic)
+    types, nodes = all_rules_enumeration(ts)
+    assert ts.types == types
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "MAX_TYPE_NODES", nodes)
+        assert TypeSystem(o, logic).types == types
+        if nodes:
+            mp.setattr(semantics, "MAX_TYPE_NODES", nodes - 1)
+            with pytest.raises(BoundsExceeded, match="type enumeration cap"):
+                TypeSystem(o, logic)
+
+
+def test_a_capped_type_system_build_is_memoized(monkeypatch):
+    monkeypatch.setattr(semantics, "MAX_TYPE_NODES", 3)
+    monkeypatch.setattr(semantics, "_TYPE_SYSTEM_CACHE", {})
+    builds = []
+    enumerate_types = TypeSystem._enumerate
+    monkeypatch.setattr(TypeSystem, "_enumerate", lambda self, n: (
+        builds.append(n), enumerate_types(self, n))[1])
+    o = ontology([(Name("A"), Exists(R, Name("B")))], ALC)
+    for _ in range(2):
+        with pytest.raises(BoundsExceeded, match="type enumeration cap"):
+            type_system(o, ALC)
+    assert len(builds) == 1
 
 
 def cycle_ontology(k, role, poison):
