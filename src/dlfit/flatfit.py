@@ -29,6 +29,7 @@ class FitVerdict:
     ontology: Ontology = None
     certificate: object = None
     diagnostics: str = ""
+    witness_states: int = 0  # states the finite-witness search visited
 
     @property
     def fitting_exists(self):

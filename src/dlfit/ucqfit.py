@@ -251,6 +251,15 @@ def _anon_root(neg_index):
     return f"__root{neg_index}"
 
 
+def _state_key(state):
+    """Smaller search states first, then by the sorted reprs of each part's
+    elements, labels and edges: a total order that, unlike the repr of a
+    frozenset, does not depend on the hash seed."""
+    return (sum(len(d) + len(l) + len(ed) for d, l, ed in state),
+            tuple(tuple(sorted(map(repr, xs))) for part in state
+                  for xs in part))
+
+
 @dataclass(frozen=True)
 class WitnessParts:
     """A finite witness: one interpretation per negative example, together
@@ -301,10 +310,11 @@ def check_finite_witness(w, e, logic):
 MAX_WITNESS_STATES = 20000
 
 
-def search_finite_witness(e, logic, b):
+def search_finite_witness(e, logic, b, visited=None):
     """Bounded search for a finite witness: grow the negatives' ABoxes by
     repairing violated positive obligations, pruning anything that matches a
-    negative query or breaks the forest shape."""
+    negative query or breaks the forest shape.  The states it visits go
+    into `visited`, a set the caller may pass in to count them."""
     if e.mode != UCQ_MODE:
         raise InputError("finite-witness search applies to ucq mode")
     e = preprocess_collection(e)
@@ -468,15 +478,14 @@ def search_finite_witness(e, logic, b):
             j = to_interp(ns)
             if negatives_safe(j):
                 out[ns] = j
-        return sorted(out.items(), key=lambda kid: (
-            sum(len(d) + len(l) + len(ed) for d, l, ed in kid[0]),
-            repr(kid[0])))
+        return sorted(out.items(), key=lambda kid: _state_key(kid[0]))
 
     initial = tuple(init_parts)
     j0 = to_interp(initial)
     if not negatives_safe(j0):
         return None
-    visited = set()
+    if visited is None:
+        visited = set()
     # each entry: a state, its interpretation, and the obligations (i, h)
     # its parent satisfied; a child only adds elements, labels and edges,
     # so query matches persist and reachable sets grow, and those
@@ -652,13 +661,16 @@ def decide_ucq_fitting(e, b=None):
                           "negative individuals is refuted")
 
     # phase 2: bounded witness search
+    visited = set()
     try:
-        w = search_finite_witness(e, e.logic, b)
+        w = search_finite_witness(e, e.logic, b, visited)
     except BoundsExceeded as exc:
-        return FitVerdict(UNKNOWN, diagnostics=str(exc))
+        return FitVerdict(UNKNOWN, diagnostics=str(exc),
+                          witness_states=len(visited))
     if w is not None:
         o = synthesize_vd_ontology(w, e.logic, e=w.collection)
-        return FitVerdict(FITTING_EXISTS, ontology=o, certificate=w)
+        return FitVerdict(FITTING_EXISTS, ontology=o, certificate=w,
+                          witness_states=len(visited))
     return FitVerdict(UNKNOWN, diagnostics="no finite witness within the "
                       "size bound; larger or infinite witnesses not ruled "
-                      "out")
+                      "out", witness_states=len(visited))

@@ -2,6 +2,11 @@
 per-homomorphism obligation, mosaics, finite witnesses, and the decision
 procedure."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -11,7 +16,9 @@ from dlfit.core import (
     InputError, Name, Not, Role, Top, UCQ_MODE, abox, aq_query, collection,
     cq, ontology, preprocess_collection, size_of, ucq,
 )
-from dlfit.harness import generate_from_entailment, inverse_cycles_collection
+from dlfit.harness import (
+    generate_from_entailment, inverse_cycles_collection, serialize_collection,
+)
 from dlfit.homs import homomorphisms
 from dlfit.semantics import interp
 from dlfit.ucqfit import (
@@ -289,3 +296,65 @@ def test_every_witness_found_verifies(e):
     if w is not None:
         assert check_finite_witness(w, w.collection, ALCI)
         assert synthesize_vd_ontology(w, ALCI, e=w.collection).logic == ALCI
+
+
+def test_ucq_fit_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # acceptance-10 triple 11: the search meets children of equal size whose
+    # frozenset reprs order differently under different hash seeds
+    e = generate_from_entailment(
+        abox(concepts=[("A", "a")]), ontology([], ALCI),
+        ucq(cq(concepts=[("B", "y")], roles=[("r", "x", "y")],
+               variables=["x", "y"])))
+    path = tmp_path / "triple11.ex"
+    path.write_text(serialize_collection(e))
+    src = str(Path(ucqfit.__file__).resolve().parents[1])
+    outputs = set()
+    for hash_seed in range(8):
+        env = dict(os.environ, PYTHONPATH=src,
+                   PYTHONHASHSEED=str(hash_seed))
+        run = subprocess.run(
+            [sys.executable, "-m", "dlfit.cli", "fit", str(path),
+             "--finite-size", "3", "--degree", "2"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+
+
+# (witness_states, outcome) of decide_ucq_fitting on the collection generated
+# from each acceptance-10 triple (the entailed ones first), at the ucq-fit
+# benchmark's (finite-size, degree) settings (3, 2), (4, 2) and (6, 3)
+U, F = UNKNOWN, FITTING_EXISTS
+WITNESS_STATES = [
+    ((11, U), (18, U), (18, U)), ((11, U), (18, U), (18, U)),
+    ((11, U), (18, U), (18, U)), ((11, U), (18, U), (18, U)),
+    ((1, U), (1, U), (1, U)), ((1, U), (1, U), (1, U)),
+    ((1, U), (1, U), (1, U)), ((1, U), (1, U), (1, U)),
+    ((1, U), (1, U), (1, U)), ((10, U), (11, U), (11, U)),
+    ((3, F), (3, F), (3, F)), ((9, F), (9, F), (9, F)),
+    ((24, U), (28, U), (28, U)), ((24, U), (28, U), (28, U)),
+    ((3, F), (3, F), (3, F)), ((7, F), (7, F), (7, F)),
+    ((14, U), (21, U), (51, U)), ((4, F), (4, F), (4, F)),
+    ((13, U), (15, U), (15, U)), ((7, U), (6, U), (22, F)),
+]
+
+
+def test_witness_states_on_the_acceptance_10_triples():
+    from test_acceptance import entailment_triples
+    entailed, not_entailed = entailment_triples()
+    seen = []
+    for a, o, q, *_ in entailed + not_entailed:
+        e = generate_from_entailment(a, o, q)
+        seen.append(tuple(
+            (v.witness_states, v.outcome) for v in (
+                decide_ucq_fitting(e, Bounds(finite_witness_size=size,
+                                             degree=degree))
+                for size, degree in ((3, 2), (4, 2), (6, 3)))))
+    assert seen == WITNESS_STATES
+
+
+def test_witness_states_is_zero_without_a_search():
+    e = collection(
+        [], [neg(abox(concepts=[("A", "c")]), aq_query("B", "c"))],
+        UCQ_MODE, ALC)
+    assert decide_ucq_fitting(e, Bounds(max_mosaics=1)).witness_states == 0
