@@ -4,6 +4,7 @@ example fixtures."""
 
 import re
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import (
@@ -39,12 +40,8 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name" | "number" | "punct" | "end"
-    value: str
-    line: int
-    col: int
+# kind is "name", "number", "punct" or "end"
+_Token = namedtuple("_Token", "kind value line col")
 
 
 def _tokenize(text):

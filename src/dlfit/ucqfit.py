@@ -332,6 +332,18 @@ def search_finite_witness(e, logic, b, visited=None):
             frozenset(neg.abox.role_assertions)))
     variations = {i: _variation_pool(pos, logic)
                   for i, pos in enumerate(e.positives)}
+    # the names each check reads: a repair that adds none of them leaves
+    # the check's answer as it was in the parent state
+    neg_concepts = {n for neg in e.negatives for d in neg.query.disjuncts
+                    for n, _ in d.concept_atoms}
+    neg_roles = {r for neg in e.negatives for d in neg.query.disjuncts
+                 for r, _, _ in d.role_atoms}
+    abox_concepts = [{n for n, _ in pos.abox.concept_assertions}
+                     for pos in e.positives]
+    abox_roles = [{r for r, _, _ in pos.abox.role_assertions}
+                  for pos in e.positives]
+    pool_concepts = [{n for p in variations[i] for n, _ in p.concept_atoms}
+                     for i in range(len(e.positives))]
 
     def to_interp(state):
         domain, labels, edges, names = set(), set(), set(), set()
@@ -342,13 +354,19 @@ def search_finite_witness(e, logic, b, visited=None):
             names |= {(x, x) for x in dom}
         return interp(domain, labels, edges, names)
 
-    def part_ok(state, k):
-        dom, lab, edg = state[k]
-        part = interp(dom, lab, edg,
-                      {(x, x) for x in dom
-                       if x in e.negatives[k].abox.individuals} or
-                      {(x, x) for x in dom})
-        return is_forest_model(part, e.negatives[k].abox, logic)
+    forest_ok = {}
+
+    def part_ok(k, part):
+        """Whether part k is forest-shaped; labels and elements without
+        edges never change that, so it is memoized per edge set."""
+        dom, _, edg = part
+        if (k, edg) not in forest_ok:
+            neg = e.negatives[k].abox
+            names = {(x, x) for x in dom if x in neg.individuals} or \
+                {(x, x) for x in dom}
+            forest_ok[k, edg] = is_forest_model(interp(dom, (), edg, names),
+                                                neg, logic)
+        return forest_ok[k, edg]
 
     def negatives_safe(j):
         return not any(evaluate_query(j, neg.query) for neg in e.negatives)
@@ -462,9 +480,10 @@ def search_finite_witness(e, logic, b, visited=None):
             return k
         return None
 
-    def children(state, i, h):
+    def children(state, i, h, limit):
         """The viable unvisited one-step repairs of the (i, h) obligation,
-        each with its interpretation, smaller states first."""
+        smaller states first, each with the concept and role names it adds;
+        None as soon as there are `limit` of them."""
         anchor = _element_part(sorted(h.as_dict().values(), key=repr)[0])
         if anchor is None:
             anchor = 0
@@ -473,37 +492,65 @@ def search_finite_witness(e, logic, b, visited=None):
             ns = apply_repair(state, p, dict(g), anchor)
             if ns is None or ns == state or ns in visited or ns in out:
                 continue
-            if not all(part_ok(ns, k) for k in range(len(e.negatives))):
+            # a repair only adds to the state, which is forest-shaped and
+            # safe: only a part whose edges grew can lose the forest shape,
+            # and a new match of a negative query uses an added atom
+            if not all(part_ok(k, ns[k]) for k in range(len(ns))
+                       if ns[k][2] != state[k][2]):
                 continue
-            j = to_interp(ns)
-            if negatives_safe(j):
-                out[ns] = j
+            concepts = {n for new, old in zip(ns, state)
+                        for n, _ in new[1] - old[1]}
+            roles = {r for new, old in zip(ns, state)
+                     for r, _, _ in new[2] - old[2]}
+            if (concepts & neg_concepts or roles & neg_roles) and \
+                    not negatives_safe(to_interp(ns)):
+                continue
+            out[ns] = (concepts, roles)
+            if len(out) == limit:
+                return None
         return sorted(out.items(), key=lambda kid: _state_key(kid[0]))
 
     initial = tuple(init_parts)
-    j0 = to_interp(initial)
-    if not negatives_safe(j0):
+    if not negatives_safe(to_interp(initial)):
         return None
     if visited is None:
         visited = set()
-    # each entry: a state, its interpretation, and the obligations (i, h)
-    # its parent satisfied; a child only adds elements, labels and edges,
-    # so query matches persist and reachable sets grow, and those
-    # obligations still hold in it
-    stack = [(initial, j0, frozenset())]
+    # each entry: a state, the concept and role names its repair added, and
+    # what its parent found: the homomorphisms of each positive, the
+    # obligations (i, h) it or an ancestor satisfied, and those it violated.
+    # A child only adds elements, labels and edges, so query matches
+    # persist and reachable sets grow: the satisfied obligations still hold,
+    # and a homomorphism or a violation can change only through an added
+    # name the positive's ABox or its variations read (or any added edge,
+    # which can grow a reachable set)
+    stack = [(initial, None, None)]
     while stack:
-        state, j, held = stack.pop()
+        state, added, parent = stack.pop()
         if state in visited:
             continue
         visited.add(state)
         if len(visited) > MAX_WITNESS_STATES:
             raise BoundsExceeded("finite-witness search state cap")
-        satisfied, violated = set(held), []
+        j = to_interp(state)
+        all_homs, satisfied, violated = [], set(), []
+        root = parent is None
+        if not root:
+            parent_homs, held, parent_violated = parent
+            concepts, roles = added
+            satisfied |= held
         for i, pos in enumerate(e.positives):
-            for h in homomorphisms(pos.abox, j):
-                if (i, h) in held:
+            if root or concepts & abox_concepts[i] or roles & abox_roles[i]:
+                homs = homomorphisms(pos.abox, j)
+            else:
+                homs = parent_homs[i]
+            all_homs.append(homs)
+            stale = () if root or roles or concepts & pool_concepts[i] \
+                else parent_violated
+            for h in homs:
+                if (i, h) in satisfied:
                     continue
-                if obligation_holds(j, pos, h, logic, variations[i]):
+                if (i, h) not in stale and \
+                        obligation_holds(j, pos, h, logic, variations[i]):
                     satisfied.add((i, h))
                 else:
                     violated.append((i, h))
@@ -522,13 +569,13 @@ def search_finite_witness(e, logic, b, visited=None):
         # obligation has none
         best = None
         for i, h in violated:
-            kids = children(state, i, h)
-            if best is None or len(kids) < len(best):
+            kids = children(state, i, h, None if best is None else len(best))
+            if kids is not None:
                 best = kids
             if not best:
                 break
-        satisfied = frozenset(satisfied)
-        stack.extend((ns, nj, satisfied) for ns, nj in reversed(best))
+        found = (all_homs, frozenset(satisfied), frozenset(violated))
+        stack.extend((ns, names, found) for ns, names in reversed(best))
     return None
 
 
@@ -607,7 +654,7 @@ def decide_ucq_fitting(e, b=None):
         raise InputError("decide_ucq_fitting requires ucq mode")
     if not e.negatives:
         return FitVerdict(FITTING_EXISTS, ontology=BOTTOM_ONTOLOGY)
-    e = preprocess_collection(e)
+    given, e = e, preprocess_collection(e)
     if b is None:
         b = Bounds()
     sig = signature_of(e)
@@ -660,10 +707,11 @@ def decide_ucq_fitting(e, b=None):
         return FitVerdict(outcome, diagnostics="every labeling of the "
                           "negative individuals is refuted")
 
-    # phase 2: bounded witness search
+    # phase 2: bounded witness search; it preprocesses the given collection
+    # into examples equal to phase 1's, so the two share variation pools
     visited = set()
     try:
-        w = search_finite_witness(e, e.logic, b, visited)
+        w = search_finite_witness(given, e.logic, b, visited)
     except BoundsExceeded as exc:
         return FitVerdict(UNKNOWN, diagnostics=str(exc),
                           witness_states=len(visited))

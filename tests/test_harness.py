@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from dlfit import cli, semantics
 from dlfit.core import (
     ALC, ALCI, ALCQ, AQ, And, AtLeast, AtMost, Bottom, CONSISTENCY, Example,
-    Exists, Forall, InputError, Name, Not, Or, Role, Top, abox, aq_query,
-    collection, cq, normalize_ontology, ontology, preprocess_collection, ucq,
+    Exists, FULLCQ, Forall, InputError, Name, Not, Or, Role, Top, UCQ,
+    UCQ_MODE, abox, aq_query, collection, cq, normalize_ontology, ontology,
+    preprocess_collection, ucq,
 )
 from dlfit.cli import EXIT_INTERNAL, main
 from dlfit.flatfit import (
@@ -19,7 +20,8 @@ from dlfit.harness import (
     FIXTURE_COLLECTIONS, MAX_CONCEPT_DEPTH, fixture_ontologies,
     generate_from_entailment, bibliography_collection,
     bibliography_ontologies, parse_abox, parse_collection, parse_ontology,
-    parse_query, serialize_collection, serialize_ontology, verify_fit,
+    parse_query, query_text, serialize_collection, serialize_ontology,
+    verify_fit,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -122,6 +124,73 @@ def random_ontologies(draw):
 @given(random_ontologies())
 def test_parse_serialize_is_the_identity_on_ontologies(o):
     assert parse_ontology(serialize_ontology(o)) == o
+
+
+@st.composite
+def random_cqs(draw, individuals, with_variables=True):
+    """A conjunctive query with at least one atom over the individuals and,
+    if allowed, the variables x and y."""
+    terms = sorted(individuals) + (["x", "y"] if with_variables else [])
+    term = st.sampled_from(terms)
+    concepts = draw(st.sets(st.tuples(st.sampled_from("AB"), term),
+                            max_size=2))
+    roles = draw(st.sets(st.tuples(st.sampled_from("rs"), term, term),
+                         max_size=2))
+    if not concepts and not roles:
+        concepts = {("A", draw(term))}
+    used = {t for _, t in concepts} | {t for _, u, v in roles for t in (u, v)}
+    return cq(concepts, roles, used & {"x", "y"})
+
+
+def random_ucqs(individuals):
+    return st.builds(lambda ds: UCQ(tuple(ds)),
+                     st.lists(random_cqs(individuals), min_size=1,
+                              max_size=3))
+
+
+@st.composite
+def random_examples(draw, mode):
+    """An example whose ABox is over a and b and whose query fits the mode
+    and mentions only individuals of the ABox."""
+    concepts = draw(st.sets(st.tuples(st.sampled_from("AB"),
+                                      st.sampled_from("ab")),
+                            min_size=0 if mode == UCQ_MODE else 1,
+                            max_size=3))
+    roles = draw(st.sets(st.tuples(st.sampled_from("rs"),
+                                   st.sampled_from("ab"),
+                                   st.sampled_from("ab")), max_size=2))
+    a = abox(concepts, roles)
+    inds = a.individuals
+    if mode == CONSISTENCY:
+        q = None
+    elif mode == AQ:
+        q = aq_query(draw(st.sampled_from("AB")),
+                     draw(st.sampled_from(sorted(inds))))
+    elif mode == FULLCQ:
+        q = ucq(draw(random_cqs(inds, with_variables=False)))
+    else:
+        q = draw(random_ucqs(inds))
+    return Example(a, q)
+
+
+@st.composite
+def random_collections(draw):
+    mode = draw(st.sampled_from([CONSISTENCY, AQ, FULLCQ, UCQ_MODE]))
+    logic = draw(st.sampled_from([ALC, ALCI, ALCQ]))
+    examples = st.lists(random_examples(mode), max_size=2)
+    return collection(draw(examples), draw(examples), mode, logic)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_collections())
+def test_parse_serialize_is_the_identity_on_collections(e):
+    assert parse_collection(serialize_collection(e)) == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_ucqs("ab"))
+def test_parse_is_the_inverse_of_query_text(q):
+    assert parse_query(query_text(q)) == q
 
 
 def test_synthesized_ontologies_over_many_individuals_parse_back():

@@ -323,16 +323,17 @@ def test_type_system_matches_the_reference_elimination(case):
                 == ref_witnesses(atoms, tagged(ts, t1), e, survivors)
 
 
-def all_rules_enumeration(ts):
+def all_rules_enumeration(ts, limit=None):
     """The types and the node count of the enumeration that checks every
-    inclusion at every search node, in TypeSystem's bit order."""
+    inclusion at every search node, in TypeSystem's bit order; it stops
+    once the count passes the limit."""
     rules = [ts._truth(And(l, Not(r))) for l, r in ts.cis]
     n = len(ts.names) + len(ts.exists_atoms)
     out, nodes = [], 0
 
     def go(k, known, val):
         nonlocal nodes
-        if any(f(known, val) for f in rules):
+        if any(f(known, val) for f in rules) or nodes == limit:
             return
         nodes += 1
         if k == n:
@@ -366,8 +367,17 @@ def indexed_ontologies(draw):
 @given(indexed_ontologies())
 def test_rule_index_matches_the_all_rules_enumeration(case):
     o, logic = case
+    with pytest.MonkeyPatch.context() as mp:
+        # the inclusions and atoms without the enumeration, which may hit
+        # the cap
+        mp.setattr(TypeSystem, "_enumerate", lambda self, n: [])
+        bare = TypeSystem(o, logic)
+    types, nodes = all_rules_enumeration(bare, semantics.MAX_TYPE_NODES + 1)
+    if nodes > semantics.MAX_TYPE_NODES:
+        with pytest.raises(BoundsExceeded, match="type enumeration cap"):
+            TypeSystem(o, logic)
+        return
     ts = TypeSystem(o, logic)
-    types, nodes = all_rules_enumeration(ts)
     assert ts.types == types
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semantics, "MAX_TYPE_NODES", nodes)
