@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
+from test_acceptance import entailment_triples
 
 from dlfit import ucqfit
 from dlfit.core import (
@@ -340,7 +341,6 @@ WITNESS_STATES = [
 
 
 def test_witness_states_on_the_acceptance_10_triples():
-    from test_acceptance import entailment_triples
     entailed, not_entailed = entailment_triples()
     seen = []
     for a, o, q, *_ in entailed + not_entailed:
